@@ -78,7 +78,7 @@ def _client_batch(budget: int, prefix: list[int]) -> list[dict]:
 def _serial_answers(dataset: Dataset, requests: list[dict]) -> list[str]:
     """Ground truth: one session, requests in order, result payloads."""
     answers = []
-    with StabilitySession(dataset, seed=SEED, parallel=False) as session:
+    with StabilitySession(dataset, seed=SEED, executor="serial") as session:
         for request in requests:
             handled = protocol.dispatch(session, dataset, request)
             assert handled.response["ok"] is True, handled.response
@@ -92,7 +92,7 @@ def _sequential_stdio(dataset: Dataset, requests: list[dict]) -> float:
     no pool is shared across clients)."""
     start = time.perf_counter()
     for _ in range(N_CLIENTS):
-        with StabilitySession(dataset, seed=SEED, parallel=False) as session:
+        with StabilitySession(dataset, seed=SEED, executor="serial") as session:
             for request in requests:
                 handled = protocol.dispatch(session, dataset, request)
                 assert handled.response["ok"] is True, handled.response
@@ -140,14 +140,14 @@ def _restart_latency(
     dataset: Dataset, state_dir: str, probe: dict
 ) -> tuple[float, float]:
     """First-query latency: cold session vs restarted (restored) server."""
-    with StabilitySession(dataset, seed=SEED + 1, parallel=False) as cold:
+    with StabilitySession(dataset, seed=SEED + 1, executor="serial") as cold:
         request = {
             key: value for key, value in probe.items() if key != "op"
         }
         start = time.perf_counter()
         cold.top_stable(request.pop("m"), **request)
         cold_seconds = time.perf_counter() - start
-    registry = SessionRegistry(state_dir=state_dir, seed=SEED, parallel=False)
+    registry = SessionRegistry(state_dir=state_dir, seed=SEED, executor="serial")
     registry.add_dataset("default", dataset)
     handle = serve_in_thread(registry, config=ServerConfig())
     try:
@@ -164,7 +164,7 @@ def _restart_latency(
 def _wire_stage_breakdown(dataset: Dataset, budget: int) -> dict:
     """Cold traced request over TCP: the shared ``"stages"`` schema,
     as echoed back by the server's ``"trace": true`` protocol field."""
-    registry = SessionRegistry(seed=SEED + 2, parallel=False)
+    registry = SessionRegistry(seed=SEED + 2, executor="serial")
     registry.add_dataset("default", dataset)
     handle = serve_in_thread(registry, config=ServerConfig())
     try:
@@ -200,7 +200,7 @@ def run(*, smoke: bool = False, verbose: bool = True) -> dict:
 
     with tempfile.TemporaryDirectory() as state_dir:
         registry = SessionRegistry(
-            state_dir=state_dir, seed=SEED, parallel=False
+            state_dir=state_dir, seed=SEED, executor="serial"
         )
         registry.add_dataset("default", dataset)
         handle = serve_in_thread(registry, config=ServerConfig())

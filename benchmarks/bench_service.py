@@ -98,7 +98,7 @@ def _per_call(dataset: Dataset, requests, seed: int) -> float:
 
 def _batched(dataset: Dataset, requests, seed: int):
     """The service protocol: one session, one planner pass."""
-    session = StabilitySession(dataset, seed=seed, parallel="auto")
+    session = StabilitySession(dataset, seed=seed, executor="auto")
     with session:
         start = time.perf_counter()
         outcomes = execute_batch(session, requests)
@@ -141,7 +141,7 @@ def _parallel_equivalence(n_samples: int) -> float:
 
 def _stage_breakdown(dataset: Dataset, budget: int, seed: int) -> dict:
     """Cold top_stable under a trace: the shared ``"stages"`` schema."""
-    with StabilitySession(dataset, seed=seed, parallel=False) as session:
+    with StabilitySession(dataset, seed=seed, executor="serial") as session:
         with obs.trace("bench.top_stable") as t:
             session.top_stable(3, kind="topk_set", k=K, budget=budget)
     return obs.stage_report(t)
@@ -150,7 +150,7 @@ def _stage_breakdown(dataset: Dataset, budget: int, seed: int) -> dict:
 def _restore_latency(dataset: Dataset, budget: int, seed: int) -> tuple[float, float]:
     """First-query latency: cold session vs snapshot-restored session."""
     query = dict(kind="topk_set", k=K, budget=budget)
-    cold = StabilitySession(dataset, seed=seed, parallel=False)
+    cold = StabilitySession(dataset, seed=seed, executor="serial")
     with cold:
         start = time.perf_counter()
         expected = cold.top_stable(3, **query)
@@ -159,7 +159,7 @@ def _restore_latency(dataset: Dataset, budget: int, seed: int) -> tuple[float, f
         os.close(fd)
         cold.save(path)
     try:
-        restored = StabilitySession.restore(path, dataset, parallel=False)
+        restored = StabilitySession.restore(path, dataset, executor="serial")
         with restored:
             start = time.perf_counter()
             warm_results = restored.top_stable(3, **query)

@@ -106,6 +106,7 @@ from repro.engine.engine import StabilityEngine
 from repro.service import (
     ObserveExecutor,
     ResultCache,
+    SessionConfig,
     StabilityRequest,
     StabilitySession,
     execute_batch,
@@ -141,6 +142,7 @@ __all__ = [
     "StabilityServer",
     "serve_in_thread",
     "StabilityEngine",
+    "SessionConfig",
     "StabilitySession",
     "StabilityRequest",
     "ResultCache",

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 import time
@@ -53,8 +54,12 @@ from repro import (
     rank_profile,
 )
 from repro.server.protocol import value_to_json as _value_to_json
+from repro.service.config import DURABLE, SessionConfig
 
 __all__ = ["main", "load_csv_dataset"]
+
+#: The subcommands that build a session from :func:`_add_session_dials`.
+_SESSION_COMMANDS = ("batch", "serve", "snapshot", "restore")
 
 
 def load_csv_dataset(
@@ -126,34 +131,77 @@ def _region_for(args, dim: int, weights: np.ndarray | None):
     return FullSpace(dim)
 
 
-def _budget_arg(text: str):
-    """Argparse type for ``--budget``: a count or ``ci:WIDTH[@MAX]`` spec."""
-    from repro.service.budget import parse_budget
-
-    try:
-        return parse_budget(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _add_engine_dials(
-    parser: argparse.ArgumentParser, *, sampling: bool = True
+def _add_session_dials(
+    parser: argparse.ArgumentParser, *, durable: bool = True
 ) -> None:
-    """The kernel/sampling dials shared by the session subcommands."""
+    """The :class:`SessionConfig` flags of the session commands.
+
+    Each flag stores under its field's name and only when given, so
+    :func:`_session_config` takes every default (and every validation)
+    from :class:`SessionConfig`.  ``durable=False`` (restore) leaves
+    out ``--budget``/``--sampling``: a restored session takes its
+    durable fields from the snapshot.
+    """
+    unset = argparse.SUPPRESS
+    if durable:
+        parser.add_argument(
+            "--budget",
+            default=unset,
+            help="default pool target: a sample count or 'ci:WIDTH[@MAX]' "
+            "precision spec (grow until the leading CI half-width fits)",
+        )
+        parser.add_argument(
+            "--sampling",
+            default=unset,
+            help="weight sampling: mc (default, plain Monte-Carlo) or qmc "
+            "(Halton; full-space and in-orthant cone regions only)",
+        )
+    parser.add_argument(
+        "--executor",
+        default=unset,
+        help="observe executor: auto (default, picked per pass), serial, "
+        "thread, or process (shared-memory worker pool)",
+    )
+    parser.add_argument(
+        "--workers",
+        dest="max_workers",
+        type=int,
+        default=unset,
+        metavar="N",
+        help="observe worker-pool width (default: usable cores minus one)",
+    )
     parser.add_argument(
         "--kernel",
-        default=None,
+        default=unset,
         help="reduction kernel backend (numpy, numba, or auto; default "
         "auto picks the fastest available; REPRO_KERNEL overrides the "
         "default — tallies are byte-identical across backends)",
     )
-    if sampling:
-        parser.add_argument(
-            "--sampling",
-            choices=["mc", "qmc"],
-            default="mc",
-            help="weight sampling: plain Monte-Carlo or quasi-MC "
-            "(Halton; full-space and in-orthant cone regions only)",
+
+
+def _session_config(args) -> SessionConfig:
+    """The one args -> :class:`SessionConfig` mapping.
+
+    Takes the fields :func:`_add_session_dials` stored, plus ``--seed``
+    (default 0, so CLI sessions are reproducible unless told otherwise).
+    """
+    names = {field.name for field in dataclasses.fields(SessionConfig)}
+    return SessionConfig(**{k: v for k, v in vars(args).items() if k in names})
+
+
+def _warn_durable_flags(config: SessionConfig, path) -> None:
+    """Say which durable flags a restore ignored (the snapshot's win)."""
+    cold = SessionConfig(seed=0)  # what a command line without flags names
+    flags = [
+        f"--{name}"
+        for name in DURABLE
+        if getattr(config, name) != getattr(cold, name)
+    ]
+    if flags:
+        print(
+            f"restored session state from {path}; {'/'.join(flags)} "
+            "ignored (durable fields apply only to a cold start)",
+            file=sys.stderr,
         )
 
 
@@ -242,50 +290,14 @@ def main(argv: list[str] | None = None) -> int:
         required=True,
         help="path to a JSON list of request objects ('-' for stdin)",
     )
-    p_batch.add_argument(
-        "--budget",
-        type=_budget_arg,
-        default=None,
-        help="default pool target: a sample count or 'ci:WIDTH[@MAX]' "
-        "precision spec (grow until the leading CI half-width fits)",
-    )
-    p_batch.add_argument(
-        "--workers", type=int, default=None, help="observe thread-pool width"
-    )
-    p_batch.add_argument(
-        "--no-parallel", action="store_true", help="force serial observe"
-    )
-    p_batch.add_argument(
-        "--executor",
-        choices=["auto", "serial", "thread", "process"],
-        default=None,
-        help="observe executor: serial, thread pool, or shared-memory "
-        "process pool (default auto; REPRO_EXECUTOR overrides)",
-    )
-    _add_engine_dials(p_batch)
+    _add_session_dials(p_batch)
 
     p_serve = sub.add_parser(
         "serve",
         help="JSON-lines request/response service on stdio or TCP",
     )
     _add_common(p_serve)
-    p_serve.add_argument(
-        "--budget",
-        type=_budget_arg,
-        default=None,
-        help="default pool target: a sample count or 'ci:WIDTH[@MAX]' "
-        "precision spec",
-    )
-    p_serve.add_argument("--workers", type=int, default=None)
-    p_serve.add_argument("--no-parallel", action="store_true")
-    p_serve.add_argument(
-        "--executor",
-        choices=["auto", "serial", "thread", "process"],
-        default=None,
-        help="observe executor: serial, thread pool, or shared-memory "
-        "process pool (default auto; REPRO_EXECUTOR overrides)",
-    )
-    _add_engine_dials(p_serve)
+    _add_session_dials(p_serve)
     p_serve.add_argument(
         "--state-dir",
         default=None,
@@ -449,23 +461,7 @@ def main(argv: list[str] | None = None) -> int:
         help="optional JSON list of warmup requests ('-' for stdin); "
         "their outcomes print to stdout, one JSON line each",
     )
-    p_snapshot.add_argument(
-        "--budget",
-        type=_budget_arg,
-        default=None,
-        help="default pool target: a sample count or 'ci:WIDTH[@MAX]' "
-        "precision spec",
-    )
-    p_snapshot.add_argument("--workers", type=int, default=None)
-    p_snapshot.add_argument("--no-parallel", action="store_true")
-    p_snapshot.add_argument(
-        "--executor",
-        choices=["auto", "serial", "thread", "process"],
-        default=None,
-        help="observe executor: serial, thread pool, or shared-memory "
-        "process pool (default auto; REPRO_EXECUTOR overrides)",
-    )
-    _add_engine_dials(p_snapshot)
+    _add_session_dials(p_snapshot)
 
     p_restore = sub.add_parser(
         "restore",
@@ -486,22 +482,13 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="print the verified snapshot header instead of restoring",
     )
-    p_restore.add_argument("--workers", type=int, default=None)
-    p_restore.add_argument("--no-parallel", action="store_true")
-    p_restore.add_argument(
-        "--executor",
-        choices=["auto", "serial", "thread", "process"],
-        default=None,
-        help="observe executor: serial, thread pool, or shared-memory "
-        "process pool (default auto; REPRO_EXECUTOR overrides)",
-    )
-    _add_engine_dials(p_restore, sampling=False)
+    _add_session_dials(p_restore, durable=False)
 
     p_loadgen = sub.add_parser(
         "loadgen",
         help="drive a server with a deterministic synthetic workload "
         "(self-hosted unless --address), optionally recording a "
-        "replayable trace or running a bounded soak",
+        "replayable trace",
     )
     p_loadgen.add_argument(
         "--address",
@@ -554,30 +541,6 @@ def main(argv: list[str] | None = None) -> int:
         help="record a replayable JSONL trace to PATH",
     )
     p_loadgen.add_argument(
-        "--soak", type=float, default=None, metavar="SECONDS",
-        help="run a bounded soak instead: sustained load for SECONDS, "
-        "asserting flat RSS and zero shm segments via /metrics",
-    )
-    p_loadgen.add_argument(
-        "--rss-limit", type=float, default=0.10,
-        help="soak: max fractional RSS growth over the warm baseline",
-    )
-    p_loadgen.add_argument(
-        "--diag", default=None, metavar="PATH",
-        help="soak: write the server's flight-recorder diag bundle to "
-        "PATH when the soak fails",
-    )
-    p_loadgen.add_argument(
-        "--profile-hz", type=float, default=None, metavar="HZ",
-        help="soak: run the sampling profiler at HZ for the whole soak "
-        "(collapsed stacks land in the report and diag bundle)",
-    )
-    p_loadgen.add_argument(
-        "--inject-failure", action="store_true",
-        help="soak: force an invariant failure at the end (exercises "
-        "the diag-bundle path; the run exits non-zero)",
-    )
-    p_loadgen.add_argument(
         "--retry", action="store_true",
         help="run the workers with the default client retry policy "
         "(idempotent ops only)",
@@ -585,8 +548,7 @@ def main(argv: list[str] | None = None) -> int:
     p_loadgen.add_argument(
         "--chaos", default=None, metavar="SPEC",
         help="inject faults into the self-hosted server, e.g. "
-        "'delay:p=0.05,ms=100;error:p=0.01;drop:p=0.005' "
-        "(soak mode: also enables retries and the answer oracle)",
+        "'delay:p=0.05,ms=100;error:p=0.01;drop:p=0.005'",
     )
     p_loadgen.add_argument(
         "--chaos-seed", type=int, default=0, metavar="N",
@@ -626,6 +588,11 @@ def main(argv: list[str] | None = None) -> int:
     )
 
     args = parser.parse_args(argv)
+    if args.command in _SESSION_COMMANDS:
+        try:
+            config = _session_config(args)
+        except ValueError as exc:
+            sub.choices[args.command].error(str(exc))
 
     from repro.obs import configure_logging
 
@@ -774,41 +741,29 @@ def main(argv: list[str] | None = None) -> int:
             )
         return 0
 
-    if args.command in ("batch", "serve", "snapshot", "restore"):
-        return _run_service_command(args, ds, out)
+    if args.command in _SESSION_COMMANDS:
+        return _run_service_command(args, config, ds, out)
 
     raise AssertionError("unreachable")
 
 
-def _run_service_command(args, ds: Dataset, out) -> int:
+def _run_service_command(args, config: SessionConfig, ds: Dataset, out) -> int:
     """Dispatch the session-backed subcommands (batch/serve/snapshot/restore)."""
     from repro.errors import SnapshotError
 
     region = _region_for(args, ds.n_attributes, None)
-    parallel = False if args.no_parallel else "auto"
 
     if args.command == "serve" and args.tcp is not None:
-        return _run_serve_tcp(args, ds, region, parallel)
+        return _run_serve_tcp(args, config, ds, region)
 
     if args.command == "restore":
         try:
             session = StabilitySession.restore(
-                args.snapshot,
-                ds,
-                region=region,
-                parallel=parallel,
-                executor=args.executor,
-                max_workers=args.workers,
-                kernel=args.kernel,
+                args.snapshot, ds, region=region, config=config
             )
         except SnapshotError as exc:
             raise SystemExit(f"cannot restore {args.snapshot}: {exc}")
-        if args.seed != 0:
-            print(
-                "restored session state comes from the snapshot; "
-                "--seed has no effect on restore",
-                file=sys.stderr,
-            )
+        _warn_durable_flags(config, args.snapshot)
         all_ok = True
         with session:
             if args.requests:
@@ -819,17 +774,7 @@ def _run_service_command(args, ds: Dataset, out) -> int:
         return 0 if all_ok else 1
 
     if args.command == "snapshot":
-        session = StabilitySession(
-            ds,
-            region=region,
-            seed=args.seed,
-            budget=args.budget,
-            parallel=parallel,
-            executor=args.executor,
-            max_workers=args.workers,
-            kernel=args.kernel,
-            sampling=args.sampling,
-        )
+        session = StabilitySession(ds, region=region, config=config)
         all_ok = True
         with session:
             if args.requests:
@@ -866,13 +811,7 @@ def _run_service_command(args, ds: Dataset, out) -> int:
     if state_path is not None and state_path.exists():
         try:
             session = StabilitySession.restore(
-                state_path,
-                ds,
-                region=region,
-                parallel=parallel,
-                executor=args.executor,
-                max_workers=args.workers,
-                kernel=args.kernel,
+                state_path, ds, region=region, config=config
             )
         except SnapshotError as exc:
             # The state dir is an opportunistic warm-start cache: a
@@ -883,26 +822,9 @@ def _run_service_command(args, ds: Dataset, out) -> int:
                 file=sys.stderr,
             )
         else:
-            # Durable identity comes from the snapshot; flags that only
-            # apply to a fresh session must not be silently dropped.
-            if args.seed != 0 or args.budget is not None or args.sampling != "mc":
-                print(
-                    f"restored session state from {state_path}; "
-                    "--seed/--budget/--sampling apply only to a cold start",
-                    file=sys.stderr,
-                )
+            _warn_durable_flags(config, state_path)
     if session is None:
-        session = StabilitySession(
-            ds,
-            region=region,
-            seed=args.seed,
-            budget=args.budget,
-            parallel=parallel,
-            executor=args.executor,
-            max_workers=args.workers,
-            kernel=args.kernel,
-            sampling=args.sampling,
-        )
+        session = StabilitySession(ds, region=region, config=config)
     with session:
         if args.command == "batch":
             return _run_batch(session, ds, args, out)
@@ -1253,29 +1175,11 @@ def _run_diag(args) -> int:
 
 
 def _run_loadgen(args) -> int:
-    """The ``loadgen`` command: synthetic load, traces, and soaks."""
-    from repro.loadgen import WorkloadSpec, generate_plan, run_load, run_soak
+    """The ``loadgen`` command: synthetic load and replayable traces.
 
-    if args.soak is not None:
-        if args.address is not None:
-            raise SystemExit(
-                "--soak self-hosts its server (it needs the /metrics "
-                "endpoint); drop --address"
-            )
-        report = run_soak(
-            seconds=args.soak,
-            connections=args.connections,
-            seed=args.seed,
-            rss_limit=args.rss_limit,
-            arrival_rate=args.rate,
-            profile_hz=args.profile_hz,
-            inject_failure=args.inject_failure,
-            diag_path=args.diag,
-            chaos=args.chaos,
-            log=lambda message: print(message, file=sys.stderr),
-        )
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
-        return 0 if report.passed else 1
+    The bounded soak has its own front-end, ``python -m repro.loadgen.soak``.
+    """
+    from repro.loadgen import WorkloadSpec, generate_plan, run_load
 
     spec = WorkloadSpec(
         seed=args.seed,
@@ -1334,7 +1238,7 @@ def _run_replay(args) -> int:
     return 0 if report.equivalent else 1
 
 
-def _run_serve_tcp(args, ds: Dataset, region, parallel) -> int:
+def _run_serve_tcp(args, config: SessionConfig, ds: Dataset, region) -> int:
     """The ``serve --tcp`` mode: the asyncio multi-client front-end.
 
     Builds a :class:`~repro.server.SessionRegistry` over the one
@@ -1362,16 +1266,7 @@ def _run_serve_tcp(args, ds: Dataset, region, parallel) -> int:
             watermark = parse_size(args.memory_watermark)
         except ValueError as exc:
             raise SystemExit(f"bad --memory-watermark: {exc}")
-    registry = SessionRegistry(
-        state_dir=args.state_dir,
-        seed=args.seed,
-        budget=args.budget,
-        parallel=parallel,
-        executor=args.executor,
-        max_workers=args.workers,
-        kernel=args.kernel,
-        sampling=args.sampling,
-    )
+    registry = SessionRegistry(state_dir=args.state_dir, config=config)
     registry.add_dataset(args.dataset_name, ds, region=region)
     try:
         config = ServerConfig(

@@ -471,7 +471,7 @@ def check_restore_contract(path, dataset, probe, baseline) -> str:
     from repro.service.persist import load_session
 
     try:
-        session = load_session(path, dataset, parallel=False)
+        session = load_session(path, dataset, executor="serial")
     except SnapshotError:
         return "refused"
     except Exception as exc:  # noqa: BLE001 — the oracle's whole point

@@ -87,7 +87,7 @@ def hosted_server(plan: WorkloadPlan, **config_fields):
     arguments become :class:`~repro.server.ServerConfig` fields
     (``metrics_port=0`` gives the soak a scrapeable endpoint).
     """
-    registry = SessionRegistry(seed=plan.spec.server_seed, parallel=False)
+    registry = SessionRegistry(seed=plan.spec.server_seed, executor="serial")
     registry.add_dataset("default", make_dataset(plan.spec))
     handle = serve_in_thread(registry, config=ServerConfig(**config_fields))
     try:

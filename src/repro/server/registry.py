@@ -44,6 +44,7 @@ from repro.core.region import FullSpace, RegionOfInterest
 from repro.errors import SnapshotError
 from repro.obs import log_event
 from repro.service.cache import dataset_fingerprint
+from repro.service.config import SessionConfig
 from repro.service.session import StabilitySession
 
 __all__ = [
@@ -188,14 +189,12 @@ class SessionRegistry:
         session — checkpointing it first when durable — so a server
         over many datasets bounds its memory by warm working set, not
         catalogue size.
-    seed, budget, parallel, executor, max_workers, start_method, \
-cache_size, kernel, sampling:
-        Cold-start session parameters (see
-        :class:`~repro.service.StabilitySession`).  ``budget`` accepts
-        a sample count or a ``"ci:WIDTH[@MAX]"`` precision spec;
-        ``kernel`` picks the reduction backend for every session
-        (runtime-only, also applied to restores).  Restored sessions
-        take their durable identity from the snapshot instead;
+    config:
+        The :class:`~repro.service.config.SessionConfig` of every
+        session (field keywords override it; without a ``config`` the
+        seed defaults to 0, not fresh entropy).
+        Cold starts use all of it; restored sessions take the durable
+        fields from their snapshot and only the runtime ones from here.
         ``executor="process"`` gives every session a persistent
         shared-memory worker pool, so pool-growth writes run
         out-of-process and the event loop (and warm reads on other
@@ -207,29 +206,16 @@ cache_size, kernel, sampling:
         *,
         state_dir=None,
         max_active: int = 8,
-        seed: int = 0,
-        budget: int | str | None = None,
-        parallel: bool | str = "auto",
-        executor: str | None = None,
-        max_workers: int | None = None,
-        start_method: str | None = None,
-        cache_size: int = 512,
-        kernel: str | None = None,
-        sampling: str = "mc",
+        config: SessionConfig | None = None,
+        **fields,
     ):
         self.state_dir = Path(state_dir) if state_dir is not None else None
         if self.state_dir is not None:
             self.state_dir.mkdir(parents=True, exist_ok=True)
         self.max_active = max(1, int(max_active))
-        self.seed = seed
-        self.budget = budget
-        self.parallel = parallel
-        self.executor = executor
-        self.max_workers = max_workers
-        self.start_method = start_method
-        self.cache_size = cache_size
-        self.kernel = kernel
-        self.sampling = sampling
+        self.config = SessionConfig.of(
+            config if config is not None else SessionConfig(seed=0), **fields
+        )
         self._datasets: dict[str, tuple[Dataset, RegionOfInterest]] = {}
         self._active: dict[str, ManagedSession] = {}
         self._mutex = asyncio.Lock()
@@ -291,15 +277,7 @@ cache_size, kernel, sampling:
         if state_path is not None and state_path.exists():
             try:
                 session = StabilitySession.restore(
-                    state_path,
-                    dataset,
-                    region=region,
-                    cache_size=self.cache_size,
-                    parallel=self.parallel,
-                    executor=self.executor,
-                    max_workers=self.max_workers,
-                    start_method=self.start_method,
-                    kernel=self.kernel,
+                    state_path, dataset, region=region, config=self.config
                 )
                 restored = True
                 self.restores += 1
@@ -315,17 +293,7 @@ cache_size, kernel, sampling:
                 session = None
         if session is None:
             session = StabilitySession(
-                dataset,
-                region=region,
-                seed=self.seed,
-                budget=self.budget,
-                cache_size=self.cache_size,
-                parallel=self.parallel,
-                executor=self.executor,
-                max_workers=self.max_workers,
-                start_method=self.start_method,
-                kernel=self.kernel,
-                sampling=self.sampling,
+                dataset, region=region, config=self.config
             )
         return ManagedSession(
             name=name,

@@ -3,6 +3,10 @@
 The engine answers one query at a time from scratch; this package
 turns it into a serving tier:
 
+- :mod:`repro.service.config` — :class:`SessionConfig`, the one frozen,
+  validated object carrying every session dial (durable: seed,
+  confidence, budget, sampling; runtime: executor, workers, start
+  method, kernel, cache size);
 - :mod:`repro.service.session` — :class:`StabilitySession`, reusable
   per-dataset state (cumulative Monte-Carlo pools, the shared k-skyband
   index, cached exact enumerations) behind pool-based query semantics;
@@ -41,6 +45,7 @@ from repro.service.cache import (
     dataset_fingerprint,
     make_key,
 )
+from repro.service.config import SessionConfig
 from repro.service.parallel import (
     ObserveExecutor,
     default_workers,
@@ -63,6 +68,7 @@ __all__ = [
     "save_session",
     "load_session",
     "read_snapshot_header",
+    "SessionConfig",
     "StabilitySession",
     "VERIFY_MIN_SAMPLES",
     "ResultCache",

@@ -26,9 +26,7 @@ Exact serial equivalence is preserved by construction (both pools):
 :class:`ObserveExecutor` is the one dial over all of it: ``serial`` /
 ``thread`` / ``process`` backends behind a single ``observe`` call,
 with an ``auto`` mode that picks per pass from the work size
-(``n_items`` x chunks x cores) and the packed-key width.  The
-``REPRO_EXECUTOR`` environment variable overrides the mode,
-``REPRO_MAX_WORKERS`` caps the auto-sized pools.
+(``n_items`` x chunks x cores) and the packed-key width.
 """
 
 from __future__ import annotations
@@ -47,8 +45,6 @@ __all__ = [
     "PARALLEL_MIN_CHUNKS",
     "PROCESS_MIN_ITEMS",
     "PROCESS_MAX_KEY_BYTES",
-    "EXECUTOR_ENV_VAR",
-    "MAX_WORKERS_ENV_VAR",
     "EXECUTOR_MODES",
     "default_workers",
     "should_parallelize",
@@ -75,43 +71,23 @@ PROCESS_MIN_ITEMS = 50_000
 #: bytes and ship for free.
 PROCESS_MAX_KEY_BYTES = 256
 
-#: Environment override forcing the executor mode for every pass.
-EXECUTOR_ENV_VAR = "REPRO_EXECUTOR"
-
-#: Environment cap on auto-sized worker pools (see :func:`default_workers`).
-MAX_WORKERS_ENV_VAR = "REPRO_MAX_WORKERS"
-
 EXECUTOR_MODES = ("auto", "serial", "thread", "process")
 
 
 def default_workers() -> int:
-    """Worker count for an auto-configured pool.
+    """Worker count for a pool without an explicit ``max_workers``.
 
-    Precedence (an explicit ``max_workers`` argument anywhere in the
-    stack always wins over all of this):
-
-    1. ``REPRO_MAX_WORKERS`` — a hard cap on the derived value;
-    2. ``os.sched_getaffinity`` — the CPUs this process may actually
-       run on (cgroup/taskset limits), where the platform has it;
-    3. ``os.cpu_count()`` — the host's logical cores.
-
-    The derived value is "available cores minus one" (the caller's
-    thread keeps sampling weights while workers reduce), floored at 1.
+    "Available cores minus one" (the caller's thread keeps sampling
+    weights while workers reduce), floored at 1.  Available cores are
+    ``os.sched_getaffinity`` — the CPUs this process may actually run
+    on (cgroup/taskset limits) — where the platform has it, else
+    ``os.cpu_count()``.
     """
     try:
         available = len(os.sched_getaffinity(0))
     except (AttributeError, OSError):  # pragma: no cover - non-Linux
         available = os.cpu_count() or 1
-    workers = max(available - 1, 1)
-    cap = os.environ.get(MAX_WORKERS_ENV_VAR)
-    if cap:
-        capped = int(cap)
-        if capped < 1:
-            raise ValueError(
-                f"{MAX_WORKERS_ENV_VAR} must be a positive integer, got {cap!r}"
-            )
-        workers = min(workers, capped)
-    return workers
+    return max(available - 1, 1)
 
 
 def should_parallelize(
@@ -288,12 +264,10 @@ class ObserveExecutor:
       decided, and tests rely on pinning the code path);
     - ``mode="auto"`` — :func:`resolve_executor_mode` per pass.
 
-    ``REPRO_EXECUTOR`` overrides ``mode`` at construction;
-    ``REPRO_MAX_WORKERS`` caps auto-sized pool widths (explicit
-    ``max_workers`` wins).  :meth:`close` shuts both pools down and
-    unlinks the process engine's shared-memory segments — sessions call
-    it from their own ``close``, so server drains and evictions release
-    everything deterministically.
+    :meth:`close` shuts both pools down and unlinks the process
+    engine's shared-memory segments — sessions call it from their own
+    ``close``, so server drains and evictions release everything
+    deterministically.
     """
 
     def __init__(
@@ -303,9 +277,6 @@ class ObserveExecutor:
         max_workers: int | None = None,
         start_method: str | None = None,
     ):
-        env = os.environ.get(EXECUTOR_ENV_VAR)
-        if env:
-            mode = env
         if mode not in EXECUTOR_MODES:
             raise ValueError(
                 f"executor mode must be one of {EXECUTOR_MODES}, got {mode!r}"

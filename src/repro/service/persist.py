@@ -69,6 +69,7 @@ from repro.obs import log_event
 from repro.obs import tracing as obs_trace
 from repro.service.budget import PrecisionBudget
 from repro.service.cache import dataset_fingerprint
+from repro.service.config import SessionConfig
 
 __all__ = [
     "SNAPSHOT_MAGIC",
@@ -279,23 +280,24 @@ def _save_session_body(session, path: str | Path) -> SnapshotInfo:
         )
         offset += len(comp)
 
+    config = session.config
     header = {
         "format_version": SNAPSHOT_VERSION,
         "library_version": __version__,
         "fingerprint": session.fingerprint,
         "n_items": session.dataset.n_items,
         "n_attributes": session.dataset.n_attributes,
-        "entropy": session._entropy,
-        "confidence": session.confidence,
+        "entropy": config.seed,
+        "confidence": config.confidence,
         "region": session._region_key,
         # Precision budgets serialize as their spec string — the header
         # is JSON, and the spec round-trips through parse_budget on load.
         "budget_hint": (
-            session._budget_hint.spec
-            if isinstance(session._budget_hint, PrecisionBudget)
-            else session._budget_hint
+            config.budget.spec
+            if isinstance(config.budget, PrecisionBudget)
+            else config.budget
         ),
-        "sampling": session.sampling,
+        "sampling": config.sampling,
         "configs": configs,
         "cache_entries": len(entries),
         "cache_skipped": skipped,
@@ -544,12 +546,8 @@ def load_session(
     *,
     region=None,
     cache=None,
-    cache_size: int = 512,
-    parallel: bool | str = "auto",
-    executor: str | None = None,
-    max_workers: int | None = None,
-    start_method: str | None = None,
-    kernel: str | None = None,
+    config: SessionConfig | None = None,
+    **fields,
 ):
     """Restore a :class:`StabilitySession` from a snapshot of it.
 
@@ -557,40 +555,18 @@ def load_session(
     ``region`` (default: the full space) must match the snapshot's
     region of interest — durable state over the wrong data is refused
     with :class:`~repro.errors.SnapshotMismatchError`, never guessed
-    around.  Runtime-only knobs (``parallel``, ``executor``,
-    ``max_workers``, cache wiring, ``kernel``) are the caller's to
-    choose afresh; everything the answers depend on comes from the
-    file.  A pool sampled under one kernel backend restores and
-    continues identically under another — backends agree byte-for-byte.
+    around.  ``config`` (plus any field keywords, as for the session
+    itself) supplies the runtime fields; the durable ones —
+    everything the answers depend on — come from the file.  A pool
+    sampled under one kernel backend restores and continues
+    identically under another — backends agree byte-for-byte.
     """
+    config = SessionConfig.of(config, **fields)
     with obs_trace.span("snapshot.restore", path=str(path)):
-        return _load_session_body(
-            path,
-            dataset,
-            region=region,
-            cache=cache,
-            cache_size=cache_size,
-            parallel=parallel,
-            executor=executor,
-            max_workers=max_workers,
-            start_method=start_method,
-            kernel=kernel,
-        )
+        return _load_session_body(path, dataset, region, cache, config)
 
 
-def _load_session_body(
-    path: str | Path,
-    dataset,
-    *,
-    region=None,
-    cache=None,
-    cache_size: int = 512,
-    parallel: bool | str = "auto",
-    executor: str | None = None,
-    max_workers: int | None = None,
-    start_method: str | None = None,
-    kernel: str | None = None,
-):
+def _load_session_body(path: str | Path, dataset, region, cache, config):
     from repro.service.session import StabilitySession
 
     header, raw_sections = _read_container(path)
@@ -602,17 +578,14 @@ def _load_session_body(
         session = StabilitySession(
             dataset,
             region=region,
-            seed=header["entropy"],
-            confidence=header["confidence"],
             cache=cache,
-            cache_size=cache_size,
-            parallel=parallel,
-            executor=executor,
-            max_workers=max_workers,
-            start_method=start_method,
-            budget=header["budget_hint"],
-            kernel=kernel,
-            sampling=header.get("sampling", "mc"),
+            config=SessionConfig.of(
+                config,
+                seed=header["entropy"],
+                confidence=header["confidence"],
+                budget=header["budget_hint"],
+                sampling=header.get("sampling", "mc"),
+            ),
         )
     except SnapshotError:
         raise

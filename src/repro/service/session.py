@@ -66,6 +66,7 @@ from repro.service.budget import (
     precision_satisfied,
 )
 from repro.service.cache import MISS, ResultCache, dataset_fingerprint, make_key
+from repro.service.config import SessionConfig
 from repro.service.parallel import ObserveExecutor
 
 __all__ = ["StabilitySession", "VERIFY_MIN_SAMPLES"]
@@ -101,58 +102,17 @@ class StabilitySession:
         The database being served.
     region:
         Region of interest shared by every query of the session.
-    seed:
-        Reproducibility anchor.  Each query configuration derives an
-        independent, deterministic stream from ``(seed, kind, k,
-        backend)`` — creation order does not matter, so sequential and
-        batched executions of the same requests sample identically.
-    rng:
-        Alternative entropy source when ``seed`` is not given (one
-        integer is drawn to anchor the session).
-    confidence:
-        Confidence level for Monte-Carlo error half-widths.
     cache:
         A shared :class:`~repro.service.cache.ResultCache`, or ``None``
-        to give the session a private cache of ``cache_size`` entries.
-        Pass ``cache_size=0`` to disable caching.
-    parallel:
-        ``"auto"`` (default) shards observe passes across a worker pool
-        when the dataset and pass are large enough; ``True`` forces
-        thread-pool sharding, ``False`` forces serial observe.
-        Subsumed by ``executor`` (kept for compatibility).
-    executor:
-        Observe-executor mode: ``"serial"``, ``"thread"``,
-        ``"process"`` (persistent shared-memory worker pool, see
-        :mod:`repro.service.procpool`), or ``"auto"`` (pick per pass
-        from the work size and key width).  ``None`` derives the mode
-        from ``parallel``.  The ``REPRO_EXECUTOR`` environment
-        variable overrides either.
-    max_workers:
-        Worker-pool width for sharded observe (default:
-        :func:`repro.service.parallel.default_workers` — affinity-aware
-        cores minus 1, capped by ``REPRO_MAX_WORKERS``).
-    start_method:
-        Multiprocessing start method for ``executor="process"``
-        (default: ``fork`` where available; ``REPRO_START_METHOD``
-        overrides).
-    budget:
-        Default cumulative pool target per configuration (default
-        5,000, the paper's first-call budget); also used as the
-        dispatch hint when resolving ``backend="auto"``.  Accepts a
-        plain sample count or a precision spec — ``"ci:0.02"`` /
-        ``"ci:0.02@200000"`` (see :mod:`repro.service.budget`) — in
-        which case pools grow adaptively until the leading ranking's
-        confidence half-width meets the target, and stop there.
-    kernel:
-        Kernel backend for the chunk reduction (``"numpy"``,
-        ``"numba"``, ``"auto"``); ``None`` defers to the
-        ``REPRO_KERNEL`` environment variable, then auto-selection.
-        A pure speed dial: every backend produces byte-identical
-        tallies, so answers (and snapshots) do not depend on it.
-    sampling:
-        ``"mc"`` (default) or ``"qmc"`` — the randomized pools' weight
-        source (plain Monte-Carlo vs a randomised low-discrepancy
-        stream; see :class:`repro.core.randomized.GetNextRandomized`).
+        to give the session a private cache of ``config.cache_size``
+        entries.
+    config:
+        The session's dials (:class:`~repro.service.config.SessionConfig`:
+        seed, confidence, budget, sampling, executor, max_workers,
+        start_method, kernel, cache_size).  Any field may also be passed
+        as a keyword — ``StabilitySession(ds, seed=7, executor="serial")``
+        — and overrides ``config``'s value.  A ``seed`` of ``None``
+        draws fresh entropy, which :attr:`config` then records.
     """
 
     def __init__(
@@ -160,47 +120,29 @@ class StabilitySession:
         dataset: Dataset,
         *,
         region: RegionOfInterest | None = None,
-        seed: int | None = None,
-        rng: np.random.Generator | None = None,
-        confidence: float = 0.95,
         cache: ResultCache | None = None,
-        cache_size: int = 512,
-        parallel: bool | str = "auto",
-        executor: str | None = None,
-        max_workers: int | None = None,
-        start_method: str | None = None,
-        budget: "int | str | PrecisionBudget | None" = None,
-        kernel: str | None = None,
-        sampling: str = "mc",
+        config: SessionConfig | None = None,
+        **fields,
     ):
+        config = SessionConfig.of(config, **fields)
+        if config.seed is None:
+            config = SessionConfig.of(
+                config, seed=np.random.SeedSequence().entropy % (2**63)
+            )
+        self.config = config
         self.dataset = dataset
         self.region = (
             region if region is not None else FullSpace(dataset.n_attributes)
         )
-        self.confidence = confidence
-        if parallel not in (True, False, "auto"):
-            raise ValueError(f"parallel must be True, False or 'auto', got {parallel!r}")
-        self.parallel = parallel
-        self.max_workers = max_workers
-        if executor is None:
-            executor = {False: "serial", True: "thread", "auto": "auto"}[parallel]
         self._observer = ObserveExecutor(
-            executor, max_workers=max_workers, start_method=start_method
+            config.executor,
+            max_workers=config.max_workers,
+            start_method=config.start_method,
         )
-        if sampling not in ("mc", "qmc"):
-            raise ValueError(f"sampling must be 'mc' or 'qmc', got {sampling!r}")
-        self.kernel = kernel
-        self.sampling = sampling
-        budget = parse_budget(budget)
-        self._budget_hint = budget
-        self.default_budget = budget if budget is not None else DEFAULT_BUDGET
-        if seed is not None:
-            self._entropy = int(seed)
-        elif rng is not None:
-            self._entropy = int(rng.integers(2**63))
-        else:
-            self._entropy = int(np.random.SeedSequence().entropy % (2**63))
-        self.cache = cache if cache is not None else ResultCache(cache_size)
+        self.default_budget = (
+            config.budget if config.budget is not None else DEFAULT_BUDGET
+        )
+        self.cache = cache if cache is not None else ResultCache(config.cache_size)
         self._fingerprint = dataset_fingerprint(dataset)
         self._region_key = repr(self.region)
         self._states: dict[tuple, _ConfigState] = {}
@@ -279,7 +221,7 @@ class StabilitySession:
                 cost["chunks"] = 0
             if isinstance(target, PrecisionBudget):
                 cost["target"] = target.spec
-                leading = leading_interval(raw, self.confidence)
+                leading = leading_interval(raw, self.config.confidence)
                 if leading is not None:
                     cost["ci_width"] = round(leading[1], 9)
         else:
@@ -366,12 +308,8 @@ class StabilitySession:
         *,
         region: RegionOfInterest | None = None,
         cache: ResultCache | None = None,
-        cache_size: int = 512,
-        parallel: bool | str = "auto",
-        executor: str | None = None,
-        max_workers: int | None = None,
-        start_method: str | None = None,
-        kernel: str | None = None,
+        config: SessionConfig | None = None,
+        **fields,
     ) -> "StabilitySession":
         """Rebuild a session from a :meth:`save` snapshot of it.
 
@@ -380,24 +318,16 @@ class StabilitySession:
         mismatch raises :class:`~repro.errors.SnapshotMismatchError`.
         The restored session answers every query byte-identically to
         the session that never restarted — including future ``observe``
-        passes, which resume the saved rng streams mid-sequence.
-        Runtime-only knobs (``parallel``, ``executor``, ``kernel``) are
-        the caller's to choose afresh — a pool sampled under one kernel
-        backend restores and continues identically under another.
+        passes, which resume the saved rng streams mid-sequence.  The
+        durable fields of ``config`` come from the snapshot; its runtime
+        fields (executor, workers, kernel, cache size) are the caller's
+        to choose afresh — a pool sampled under one kernel backend
+        restores and continues identically under another.
         """
         from repro.service.persist import load_session
 
         return load_session(
-            path,
-            dataset,
-            region=region,
-            cache=cache,
-            cache_size=cache_size,
-            parallel=parallel,
-            executor=executor,
-            max_workers=max_workers,
-            start_method=start_method,
-            kernel=kernel,
+            path, dataset, region=region, cache=cache, config=config, **fields
         )
 
     def close(self) -> None:
@@ -422,11 +352,11 @@ class StabilitySession:
     def _resolve(self, kind: RankingKind, backend: str) -> str:
         if backend != "auto":
             return backend
-        return resolve_backend(self.dataset, kind=kind, budget=self._budget_hint)
+        return resolve_backend(self.dataset, kind=kind, budget=self.config.budget)
 
     def _rng_for(self, kind: str, k: int | None, backend: str) -> np.random.Generator:
         stream = zlib.crc32(f"{kind}:{k}:{backend}".encode())
-        return np.random.default_rng([self._entropy, stream])
+        return np.random.default_rng([self.config.seed, stream])
 
     def _state(
         self, kind: RankingKind, k: int | None, backend: str
@@ -439,10 +369,10 @@ class StabilitySession:
             if resolved == "randomized":
                 if kind != "full":
                     options["skyband"] = self.skyband_index
-                if self.kernel is not None:
-                    options["kernel_backend"] = self.kernel
-                if self.sampling != "mc":
-                    options["sampling"] = self.sampling
+                if self.config.kernel is not None:
+                    options["kernel_backend"] = self.config.kernel
+                if self.config.sampling != "mc":
+                    options["sampling"] = self.config.sampling
             engine = StabilityEngine(
                 self.dataset,
                 region=self.region,
@@ -450,7 +380,7 @@ class StabilitySession:
                 kind=kind,
                 k=k,
                 rng=self._rng_for(kind, k, resolved),
-                confidence=self.confidence,
+                confidence=self.config.confidence,
                 **options,
             )
             state = _ConfigState(engine=engine)
@@ -534,7 +464,9 @@ class StabilitySession:
         if isinstance(target, PrecisionBudget):
             # A satisfied precision budget means the controller would
             # observe nothing — pure read; anything else must serialize.
-            return precision_satisfied(raw, target, confidence=self.confidence)
+            return precision_satisfied(
+                raw, target, confidence=self.config.confidence
+            )
         return raw.total_samples >= int(target)
 
     # ------------------------------------------------------------------
@@ -550,7 +482,7 @@ class StabilitySession:
                     raw,
                     target,
                     lambda n: self._observer.observe(raw, n),
-                    confidence=self.confidence,
+                    confidence=self.config.confidence,
                 )
             else:
                 need = int(target) - before
@@ -907,8 +839,8 @@ class StabilitySession:
             "cost": cost,
             "executor": self._observer.mode,
             "executor_workers": self._observer.workers,
-            "kernel": self.kernel if self.kernel is not None else "auto",
-            "sampling": self.sampling,
+            "kernel": self.config.kernel or "auto",
+            "sampling": self.config.sampling,
             "pool_bytes": self.pool_bytes(),
             "cache_bytes": self.cache.approx_bytes(),
             "configs": pools,
@@ -946,7 +878,7 @@ class StabilitySession:
             "materialized": state is not None,
             "executor": self._observer.mode,
             "workers": self._observer.workers,
-            "sampling": self.sampling,
+            "sampling": self.config.sampling,
             "warm_read": self.query_is_warm_read(
                 request.op,
                 kind=request.kind,
@@ -967,7 +899,7 @@ class StabilitySession:
         else:
             raw = None
             pool = 0
-            plan["kernel"] = self.kernel if self.kernel is not None else "auto"
+            plan["kernel"] = self.config.kernel or "auto"
         plan["pool_samples"] = pool
         target = self.pool_target(
             request.op,
@@ -978,7 +910,7 @@ class StabilitySession:
         if isinstance(target, PrecisionBudget):
             plan["target"] = target.spec
             satisfied = raw is not None and precision_satisfied(
-                raw, target, confidence=self.confidence
+                raw, target, confidence=self.config.confidence
             )
             plan["precision_satisfied"] = satisfied
             # An unsatisfied precision budget's sample need is adaptive;

@@ -139,7 +139,7 @@ class TestPrefixFastPath:
 class TestSessionPrefixDispatch:
     def test_full_prefix_routes_to_randomized_and_is_cached(self):
         dataset = _dataset(60, 3, seed=17)
-        with StabilitySession(dataset, seed=18, parallel=False) as session:
+        with StabilitySession(dataset, seed=18, executor="serial") as session:
             result = session.stability_of([0, 1, 2], kind="full",
                                           min_samples=300)
             assert session.last_query_cached is False
@@ -154,7 +154,7 @@ class TestSessionPrefixDispatch:
     def test_warm_full_pool_answers_prefixes_without_growth(self):
         """The serving win: an existing pool answers prefix queries."""
         dataset = _dataset(60, 3, seed=19)
-        with StabilitySession(dataset, seed=20, parallel=False) as session:
+        with StabilitySession(dataset, seed=20, executor="serial") as session:
             best = session.top_stable(1, kind="full", backend="randomized",
                                       budget=500)[0]
             assert (
@@ -179,7 +179,7 @@ class TestSessionPrefixDispatch:
             {"op": "stability_of", "kind": "full", "ranking": [0, 1],
              "min_samples": 400},
         ]
-        with StabilitySession(dataset, seed=22, parallel=False) as session:
+        with StabilitySession(dataset, seed=22, executor="serial") as session:
             outcomes = session.run_batch(requests)
             assert all(outcome.ok for outcome in outcomes)
             configs = session.stats()["configs"]
@@ -190,7 +190,7 @@ class TestSessionPrefixDispatch:
     def test_full_length_rankings_still_use_the_exact_backends(self):
         """The dispatch rule only fires for true prefixes."""
         dataset = _dataset(12, 2, seed=23)
-        with StabilitySession(dataset, seed=24, parallel=False) as session:
+        with StabilitySession(dataset, seed=24, executor="serial") as session:
             ranking = session.top_stable(1)[0].ranking
             session.stability_of(list(ranking.order), kind="full")
             configs = session.stats()["configs"]
@@ -211,7 +211,7 @@ class TestPrefixValidation:
         from repro.server import protocol
 
         dataset = _dataset(50, 3, seed=27)
-        with StabilitySession(dataset, seed=28, parallel=False) as session:
+        with StabilitySession(dataset, seed=28, executor="serial") as session:
             handled = protocol.dispatch(
                 session,
                 dataset,

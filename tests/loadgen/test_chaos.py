@@ -54,7 +54,7 @@ class TestWorkerKill:
         # One worker: killing a process whose sibling is still mid-spawn
         # can wedge the broken executor's management thread at exit.
         registry = SessionRegistry(
-            seed=7, parallel=True, executor="process", max_workers=1
+            seed=7, executor="process", max_workers=1
         )
         registry.add_dataset("default", dataset)
         handle = serve_in_thread(registry, config=ServerConfig())
@@ -100,7 +100,7 @@ class TestWorkerKill:
 
         response = box["response"]
         assert response["ok"] is True, response
-        with StabilitySession(dataset, seed=7, parallel=False) as ref:
+        with StabilitySession(dataset, seed=7, executor="serial") as ref:
             expected = ref.top_stable(
                 2, kind="topk_set", k=3, budget=budget
             )
@@ -125,7 +125,7 @@ def _start_server(csv_path, state_dir):
         [
             sys.executable, "-m", "repro.cli", "serve", str(csv_path),
             "--tcp", "127.0.0.1:0", "--state-dir", str(state_dir),
-            "--checkpoint-every", "1", "--seed", "7", "--no-parallel",
+            "--checkpoint-every", "1", "--seed", "7", "--executor", "serial",
         ],
         cwd="/root/repo",
         env=env,
@@ -203,7 +203,7 @@ class TestServerKill:
         assert snapshots, "no snapshot survived --checkpoint-every 1"
         dataset = load_csv_dataset(csv_path)
         with StabilitySession.restore(
-            snapshots[0], dataset, parallel=False
+            snapshots[0], dataset, executor="serial"
         ) as restored:
             assert len(restored.stats()["configs"]) > 0
 

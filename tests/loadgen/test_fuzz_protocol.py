@@ -41,7 +41,7 @@ FUZZ_SETTINGS = settings(
 
 @pytest.fixture(scope="module")
 def server():
-    registry = SessionRegistry(seed=7, parallel=False)
+    registry = SessionRegistry(seed=7, executor="serial")
     registry.add_dataset(
         "default", make_dataset(WorkloadSpec(dataset_items=120))
     )

@@ -43,11 +43,11 @@ def corpus_target(tmp_path_factory):
     """One good snapshot: ``(pristine bytes, dataset, baseline answers)``."""
     dataset = make_dataset(WorkloadSpec(dataset_items=250))
     path = tmp_path_factory.mktemp("snap") / "good.snap"
-    with StabilitySession(dataset, seed=11, parallel=False) as session:
+    with StabilitySession(dataset, seed=11, executor="serial") as session:
         session.top_stable(2, kind="topk_set", k=5, budget=300)
         session.get_next(backend="randomized", budget=300)
         session.save(path)
-    with StabilitySession.restore(path, dataset, parallel=False) as session:
+    with StabilitySession.restore(path, dataset, executor="serial") as session:
         baseline = probe(session)
     return path.read_bytes(), dataset, baseline
 
@@ -61,7 +61,7 @@ class TestCorruptionCorpus:
         path = tmp_path / f"{case.name}.snap"
         path.write_bytes(case.mutate(data))
         with pytest.raises(case.raises, match=case.match):
-            StabilitySession.restore(path, dataset, parallel=False)
+            StabilitySession.restore(path, dataset, executor="serial")
 
     def test_corpus_covers_every_error_type(self):
         from repro.errors import (

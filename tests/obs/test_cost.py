@@ -19,7 +19,7 @@ def dataset():
 
 
 def _session(dataset, **fields):
-    return StabilitySession(dataset, seed=7, parallel=False, **fields)
+    return StabilitySession(dataset, seed=7, executor="serial", **fields)
 
 
 class TestQueryCost:
@@ -168,7 +168,7 @@ class TestTraceCoverage:
         return obs.stage_report(t)
 
     def test_serial(self, dataset):
-        report = self._coverage(dataset, parallel=False)
+        report = self._coverage(dataset, executor="serial")
         assert report["coverage"] >= 0.9, report
 
     def test_thread(self, dataset):

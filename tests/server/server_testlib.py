@@ -42,7 +42,7 @@ def running_server(
         state_dir=state_dir,
         seed=seed,
         max_active=max_active,
-        **{"parallel": False, **(registry_fields or {})},
+        **{"executor": "serial", **(registry_fields or {})},
     )
     registry.add_dataset("default", dataset)
     for name, extra in (datasets or {}).items():

@@ -178,7 +178,7 @@ class TestGaugeReRegistration:
         renders each gauge once and lints clean."""
         metrics = ServerMetrics()
         for _ in range(2):
-            registry = SessionRegistry(seed=7, parallel=False)
+            registry = SessionRegistry(seed=7, executor="serial")
             registry.add_dataset("default", make_dataset())
             handle = serve_in_thread(
                 registry, config=ServerConfig(), metrics=metrics

@@ -160,7 +160,7 @@ class TestEncodeResponse:
 class TestDispatch:
     @pytest.fixture
     def session(self, dataset):
-        with StabilitySession(dataset, seed=3, parallel=False) as s:
+        with StabilitySession(dataset, seed=3, executor="serial") as s:
             yield s
 
     def test_ping(self, session, dataset):
@@ -246,7 +246,7 @@ class TestDispatch:
 
     def test_exhausted_maps_to_exhausted_code(self, dataset):
         small = Dataset(np.array([[0.9, 0.1], [0.1, 0.9]]))
-        with StabilitySession(small, seed=1, parallel=False) as session:
+        with StabilitySession(small, seed=1, executor="serial") as session:
             responses = [
                 protocol.dispatch(session, small, {"op": "get_next"})
                 for _ in range(4)
@@ -260,7 +260,7 @@ class TestDispatch:
 class TestNeedsWrite:
     @pytest.fixture
     def session(self, dataset):
-        with StabilitySession(dataset, seed=3, parallel=False) as s:
+        with StabilitySession(dataset, seed=3, executor="serial") as s:
             yield s
 
     def test_control_reads(self, session):
@@ -325,7 +325,7 @@ class TestMetrics:
 
     def test_value_to_json_lists_and_labels(self):
         dataset = make_dataset(6, 2)
-        with StabilitySession(dataset, seed=0, parallel=False) as session:
+        with StabilitySession(dataset, seed=0, executor="serial") as session:
             results = session.top_stable(2)
         encoded = protocol.value_to_json(dataset, results)
         assert isinstance(encoded, list) and len(encoded) == 2

@@ -98,7 +98,7 @@ class TestAsyncRWLock:
 class TestSessionRegistry:
     def test_unknown_dataset_raises_keyerror(self, dataset):
         async def scenario():
-            registry = SessionRegistry(parallel=False)
+            registry = SessionRegistry(executor="serial")
             registry.add_dataset("default", dataset)
             with pytest.raises(KeyError):
                 await registry.get("nope")
@@ -107,7 +107,7 @@ class TestSessionRegistry:
 
     def test_default_dataset_is_first_registered(self, dataset):
         async def scenario():
-            registry = SessionRegistry(parallel=False)
+            registry = SessionRegistry(executor="serial")
             registry.add_dataset("alpha", dataset)
             registry.add_dataset("beta", make_dataset(30, 2, seed=1))
             managed = await registry.get(None)
@@ -117,14 +117,14 @@ class TestSessionRegistry:
         run(scenario())
 
     def test_duplicate_name_rejected(self, dataset):
-        registry = SessionRegistry(parallel=False)
+        registry = SessionRegistry(executor="serial")
         registry.add_dataset("default", dataset)
         with pytest.raises(ValueError):
             registry.add_dataset("default", dataset)
 
     def test_sessions_are_shared_across_gets(self, dataset):
         async def scenario():
-            registry = SessionRegistry(parallel=False)
+            registry = SessionRegistry(executor="serial")
             registry.add_dataset("default", dataset)
             first = await registry.get("default")
             second = await registry.get("default")
@@ -138,7 +138,7 @@ class TestSessionRegistry:
 
         async def scenario():
             registry = SessionRegistry(
-                state_dir=tmp_path, max_active=1, seed=5, parallel=False
+                state_dir=tmp_path, max_active=1, seed=5, executor="serial"
             )
             registry.add_dataset("a", ds_a)
             registry.add_dataset("b", ds_b)
@@ -172,7 +172,7 @@ class TestSessionRegistry:
 
         async def scenario():
             registry = SessionRegistry(
-                state_dir=tmp_path, max_active=1, parallel=False
+                state_dir=tmp_path, max_active=1, executor="serial"
             )
             registry.add_dataset("a", ds_a)
             registry.add_dataset("b", ds_b)
@@ -187,7 +187,7 @@ class TestSessionRegistry:
     def test_close_sync_checkpoints_only_dirty_durable(self, tmp_path, dataset):
         async def scenario():
             registry = SessionRegistry(
-                state_dir=tmp_path, seed=5, parallel=False
+                state_dir=tmp_path, seed=5, executor="serial"
             )
             registry.add_dataset("default", dataset)
             managed = await registry.get("default")
@@ -207,7 +207,7 @@ class TestSessionRegistry:
     def test_untrusted_snapshot_starts_cold(self, tmp_path, dataset):
         async def scenario():
             registry = SessionRegistry(
-                state_dir=tmp_path, seed=5, parallel=False
+                state_dir=tmp_path, seed=5, executor="serial"
             )
             registry.add_dataset("default", dataset)
             managed = await registry.get("default")
@@ -220,7 +220,7 @@ class TestSessionRegistry:
                 b"garbage" + managed.state_path.read_bytes()
             )
             fresh = SessionRegistry(
-                state_dir=tmp_path, seed=5, parallel=False
+                state_dir=tmp_path, seed=5, executor="serial"
             )
             fresh.add_dataset("default", dataset)
             reopened = await fresh.get("default")
@@ -247,7 +247,7 @@ class TestSessionRegistry:
     def test_prewarm_restores_before_traffic(self, tmp_path, dataset):
         async def warm_then_restart():
             registry = SessionRegistry(
-                state_dir=tmp_path, seed=5, parallel=False
+                state_dir=tmp_path, seed=5, executor="serial"
             )
             registry.add_dataset("default", dataset)
             assert await registry.prewarm() == []  # nothing on disk yet
@@ -258,7 +258,7 @@ class TestSessionRegistry:
             managed.mark_dirty()
             registry.close_sync()
             fresh = SessionRegistry(
-                state_dir=tmp_path, seed=5, parallel=False
+                state_dir=tmp_path, seed=5, executor="serial"
             )
             fresh.add_dataset("default", dataset)
             assert await fresh.prewarm() == ["default"]
@@ -273,7 +273,7 @@ class TestSessionRegistry:
 
         async def scenario():
             registry = SessionRegistry(
-                state_dir=tmp_path, max_active=1, parallel=False
+                state_dir=tmp_path, max_active=1, executor="serial"
             )
             fired = []
             registry.on_evict = lambda: fired.append(1)
@@ -293,7 +293,7 @@ class TestSessionRegistry:
 
         async def scenario():
             registry = SessionRegistry(
-                state_dir=tmp_path, max_active=1, parallel=False
+                state_dir=tmp_path, max_active=1, executor="serial"
             )
             registry.add_dataset("a", ds_a)
             registry.add_dataset("b", ds_b)

@@ -112,7 +112,7 @@ class TestDeadline:
             assert err.value.code == "bad_request"
 
     def test_dispatch_fast_fails_expired_request_without_work(self):
-        session = StabilitySession(make_dataset(60), seed=7, parallel=False)
+        session = StabilitySession(make_dataset(60), seed=7, executor="serial")
         with session:
             deadline = Deadline(0.01)
             time.sleep(0.002)
@@ -167,11 +167,11 @@ class TestCooperativeCancellation:
 
     def test_cancel_keeps_pool_warm_and_resume_is_byte_identical(self):
         dataset = make_dataset(150)
-        baseline_session = StabilitySession(dataset, seed=7, parallel=False)
+        baseline_session = StabilitySession(dataset, seed=7, executor="serial")
         with baseline_session:
             baseline = self._query(baseline_session)
 
-        session = StabilitySession(dataset, seed=7, parallel=False)
+        session = StabilitySession(dataset, seed=7, executor="serial")
         with session:
             trip = _TripAfter(1)  # survives the pre-pass check only
             with deadline_scope(trip):
@@ -196,7 +196,7 @@ class TestCooperativeCancellation:
         ]
 
     def test_small_pass_skips_grouping(self):
-        session = StabilitySession(make_dataset(40), seed=7, parallel=False)
+        session = StabilitySession(make_dataset(40), seed=7, executor="serial")
         with session:
             trip = _TripAfter(1)
             with deadline_scope(trip):
@@ -211,7 +211,7 @@ class TestCooperativeCancellation:
 # ======================================================================
 class TestBatchDeadlines:
     def test_expired_request_fails_alone(self):
-        session = StabilitySession(make_dataset(60), seed=7, parallel=False)
+        session = StabilitySession(make_dataset(60), seed=7, executor="serial")
         requests = [
             {"op": "top_stable", "m": 1, "kind": "topk_set", "k": 3,
              "backend": "randomized", "budget": 300},

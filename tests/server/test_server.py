@@ -49,7 +49,7 @@ WORKLOAD = [
 def serial_answers(dataset: Dataset, seed: int, requests=WORKLOAD) -> list:
     """The single-session ground truth for ``requests`` (result payloads)."""
     answers = []
-    with StabilitySession(dataset, seed=seed, parallel=False) as session:
+    with StabilitySession(dataset, seed=seed, executor="serial") as session:
         for request in requests:
             handled = protocol.dispatch(session, dataset, request)
             assert handled.response["ok"] is True, handled.response
@@ -316,7 +316,7 @@ class TestDrainAndRestart:
         """The acceptance drill: SIGTERM mid-request loses nothing."""
         dataset = make_dataset(2000, 3, seed=9)
         other = make_dataset(500, 3, seed=10)
-        registry = SessionRegistry(state_dir=tmp_path, seed=3, parallel=False)
+        registry = SessionRegistry(state_dir=tmp_path, seed=3, executor="serial")
         registry.add_dataset("default", dataset)
         registry.add_dataset("other", other)
         handle = serve_in_thread(registry)
@@ -350,7 +350,7 @@ class TestDrainAndRestart:
         ]
         assert len(list(tmp_path.glob("*.snap"))) == 2
         # A restarted registry answers the heavy query warm.
-        fresh = SessionRegistry(state_dir=tmp_path, seed=3, parallel=False)
+        fresh = SessionRegistry(state_dir=tmp_path, seed=3, executor="serial")
         fresh.add_dataset("default", dataset)
         fresh.add_dataset("other", other)
         h2 = serve_in_thread(fresh)

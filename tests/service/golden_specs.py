@@ -142,7 +142,7 @@ def build_golden_session(name: str) -> StabilitySession:
     """A freshly warmed session exactly as the golden snapshot recorded it."""
     spec = GOLDEN_SPECS[name]
     session = StabilitySession(
-        spec["dataset"](), seed=spec["seed"], parallel=False
+        spec["dataset"](), seed=spec["seed"], executor="serial"
     )
     spec["warm"](session)
     return session
@@ -161,7 +161,7 @@ def regenerate(golden_dir: Path = GOLDEN_DIR) -> list[str]:
         # are recorded both as-saved (what restore must reproduce) and
         # after the probes (which consume cursors and grow pools).
         with StabilitySession.restore(
-            snap_path, spec["dataset"](), parallel=False
+            snap_path, spec["dataset"](), executor="serial"
         ) as restored:
             at_save = restored.stats()["configs"]
             expected = {

@@ -39,9 +39,9 @@ def _flatten(outcomes):
 class TestEquivalence:
     def test_batch_matches_sequential_execution(self, ds_md):
         requests = _mixed()
-        with StabilitySession(ds_md, seed=11, parallel=False) as batched:
+        with StabilitySession(ds_md, seed=11, executor="serial") as batched:
             batch_out = execute_batch(batched, requests)
-        with StabilitySession(ds_md, seed=11, parallel=False) as sequential:
+        with StabilitySession(ds_md, seed=11, executor="serial") as sequential:
             seq_out = []
             for req in requests:
                 if req.op == "top_stable":
@@ -65,17 +65,17 @@ class TestEquivalence:
         assert flat_batch == flat_seq
 
     def test_stability_of_in_batch_matches_direct(self, ds_md):
-        with StabilitySession(ds_md, seed=12, parallel=False) as session:
+        with StabilitySession(ds_md, seed=12, executor="serial") as session:
             top = session.top_stable(
                 1, kind="topk_set", k=4, backend="randomized", budget=1_000
             )[0]
             ids = tuple(sorted(top.top_k_set))
-        with StabilitySession(ds_md, seed=12, parallel=False) as direct:
+        with StabilitySession(ds_md, seed=12, executor="serial") as direct:
             expected = direct.stability_of(
                 ids, kind="topk_set", k=4, backend="randomized",
                 min_samples=1_000,
             )
-        with StabilitySession(ds_md, seed=12, parallel=False) as batched:
+        with StabilitySession(ds_md, seed=12, executor="serial") as batched:
             (outcome,) = execute_batch(
                 batched,
                 [StabilityRequest(op="stability_of", kind="topk_set", k=4,
@@ -90,7 +90,7 @@ class TestEquivalence:
 class TestAmortization:
     def test_one_pool_fill_per_configuration(self, ds_md):
         requests = _mixed(budget=1_200)
-        with StabilitySession(ds_md, seed=13, parallel=False) as session:
+        with StabilitySession(ds_md, seed=13, executor="serial") as session:
             execute_batch(session, requests)
             stats = session.stats()["configs"]
         # Two configurations, each filled once to the group maximum —
@@ -99,7 +99,7 @@ class TestAmortization:
         assert stats["topk_ranked:k=3@randomized"]["total_samples"] == 1_200
 
     def test_planner_groups_by_config_with_max_target(self, ds_md):
-        with StabilitySession(ds_md, seed=14, parallel=False) as session:
+        with StabilitySession(ds_md, seed=14, executor="serial") as session:
             planner = BatchPlanner(session)
             targets = planner.plan([
                 StabilityRequest(op="get_next", kind="topk_set", k=4,
@@ -131,7 +131,7 @@ class TestAmortization:
 
     def test_default_budget_schedule_used_without_explicit_budget(self, ds_md):
         with StabilitySession(
-            ds_md, seed=16, budget=1_000, parallel=False
+            ds_md, seed=16, budget=1_000, executor="serial"
         ) as session:
             execute_batch(session, [
                 StabilityRequest(op="top_stable", m=3, kind="topk_set", k=4,
@@ -154,7 +154,7 @@ class TestRobustness:
             StabilityRequest.from_dict({"op": "get_next", "bogus": 1})
 
     def test_dict_requests_accepted(self, ds_md):
-        with StabilitySession(ds_md, seed=17, parallel=False) as session:
+        with StabilitySession(ds_md, seed=17, executor="serial") as session:
             outcomes = execute_batch(session, [
                 {"op": "top_stable", "m": 1, "kind": "topk_set", "k": 3,
                  "backend": "randomized", "budget": 500},
@@ -162,7 +162,7 @@ class TestRobustness:
         assert outcomes[0].ok
 
     def test_failures_isolated_per_request(self, ds_md):
-        with StabilitySession(ds_md, seed=18, parallel=False) as session:
+        with StabilitySession(ds_md, seed=18, executor="serial") as session:
             outcomes = execute_batch(session, [
                 StabilityRequest(op="top_stable", m=1, kind="topk_set", k=3,
                                  backend="randomized", budget=500),
@@ -180,7 +180,7 @@ class TestRobustness:
     def test_cached_flag_reported(self, ds_md):
         request = StabilityRequest(op="top_stable", m=1, kind="topk_set", k=3,
                                    backend="randomized", budget=500)
-        with StabilitySession(ds_md, seed=19, parallel=False) as session:
+        with StabilitySession(ds_md, seed=19, executor="serial") as session:
             first = execute_batch(session, [request])
             second = execute_batch(session, [request])
         assert first[0].cached is False
@@ -191,7 +191,7 @@ class TestRobustness:
         # k=None is a legal *field* value but an invalid top-k config;
         # engine creation fails in the planner, which must skip it and
         # let execute() report the error per-request (code-review fix).
-        with StabilitySession(ds_md, seed=23, parallel=False) as session:
+        with StabilitySession(ds_md, seed=23, executor="serial") as session:
             outcomes = execute_batch(session, [
                 StabilityRequest(op="get_next", kind="full",
                                  backend="randomized", budget=300),
@@ -203,7 +203,7 @@ class TestRobustness:
         assert isinstance(outcomes[1].error, ValueError)
 
     def test_unparseable_request_isolated(self, ds_md):
-        with StabilitySession(ds_md, seed=24, parallel=False) as session:
+        with StabilitySession(ds_md, seed=24, executor="serial") as session:
             outcomes = execute_batch(session, [
                 {"op": "teleport"},
                 {"op": "top_stable", "m": 1, "kind": "topk_set", "k": 3,

@@ -248,7 +248,7 @@ class TestSnapshotPrecisionHint:
             session.top_stable(1, kind="topk_set", k=3)
             session.save(path)
         with StabilitySession.restore(path, ds) as restored:
-            assert restored._budget_hint == PrecisionBudget(0.05)
+            assert restored.config.budget == PrecisionBudget(0.05)
             result = restored.top_stable(1, kind="topk_set", k=3)
             assert restored.last_query_cached
             assert result[0].confidence_error <= 0.05

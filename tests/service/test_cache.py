@@ -80,7 +80,7 @@ class TestRefreshWithNaN:
         from repro import StabilitySession
 
         ds = Dataset(rng_factory(6).uniform(size=(30, 3)))
-        with StabilitySession(ds, seed=1, parallel=False) as session:
+        with StabilitySession(ds, seed=1, executor="serial") as session:
             session.top_stable(1, kind="topk_set", k=3, budget=200)
             values = self._writable(session)
             values[3, 1] = np.nan

@@ -89,7 +89,7 @@ class TestGoldenConformance:
         snap, expected = _load(name)
         spec = GOLDEN_SPECS[name]
         with StabilitySession.restore(
-            snap, spec["dataset"](), parallel=False
+            snap, spec["dataset"](), executor="serial"
         ) as session:
             got = run_probes(session, expected["probes"])
             _assert_payloads_equal(got, expected["answers"])
@@ -104,7 +104,7 @@ class TestGoldenConformance:
         snap, expected = _load(name)
         spec = GOLDEN_SPECS[name]
         with StabilitySession.restore(
-            snap, spec["dataset"](), parallel=False
+            snap, spec["dataset"](), executor="serial"
         ) as session:
             _assert_stats_match(
                 session.stats()["configs"], expected["stats_configs_at_save"]

@@ -16,7 +16,6 @@ from repro import Dataset, parallel_observe
 from repro.core.randomized import GetNextRandomized
 from repro.engine import kernel
 from repro.service.parallel import (
-    MAX_WORKERS_ENV_VAR,
     default_workers,
     resolve_executor_mode,
     should_parallelize,
@@ -173,21 +172,6 @@ class TestDefaultWorkers:
         except (AttributeError, OSError):
             available = __import__("os").cpu_count() or 1
         assert workers <= max(available - 1, 1)
-
-    def test_env_cap_wins(self, monkeypatch):
-        monkeypatch.setenv(MAX_WORKERS_ENV_VAR, "1")
-        assert default_workers() == 1
-
-    def test_env_cap_never_raises_above_derived(self, monkeypatch):
-        monkeypatch.setenv(MAX_WORKERS_ENV_VAR, "4096")
-        uncapped = default_workers()
-        monkeypatch.delenv(MAX_WORKERS_ENV_VAR)
-        assert uncapped == default_workers()
-
-    def test_env_cap_rejects_garbage(self, monkeypatch):
-        monkeypatch.setenv(MAX_WORKERS_ENV_VAR, "0")
-        with pytest.raises(ValueError):
-            default_workers()
 
 
 class TestResolveExecutorMode:

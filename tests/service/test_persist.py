@@ -132,7 +132,7 @@ class TestTallyStateRoundTrip:
             b.restore_state(a.export_state())
 
     def test_save_to_unwritable_path_is_a_typed_error(self, ds_md, tmp_path):
-        with StabilitySession(ds_md, seed=5, parallel=False) as session:
+        with StabilitySession(ds_md, seed=5, executor="serial") as session:
             session.observe(100, kind="topk_set", k=3)
             with pytest.raises(SnapshotError, match="cannot write"):
                 session.save(tmp_path / "no" / "such" / "dir" / "p.snap")
@@ -199,13 +199,13 @@ class TestSaveRestoreProperty:
             # would dominate the suite's wall-clock.
             ds_md = Dataset(rng_factory(33).uniform(size=(18, 3)))
         path = tmp_path / "grid.snap"
-        live = StabilitySession(ds_md, seed=17, parallel=False)
+        live = StabilitySession(ds_md, seed=17, executor="serial")
         # Interrupt mid-protocol: one consumed cursor entry, a warm
         # top_stable, then snapshot.
         live.top_stable(2, kind=kind, k=k, backend=backend, budget=budget)
         live.get_next(kind=kind, k=k, backend=backend, budget=budget)
         live.save(path)
-        restored = StabilitySession.restore(path, ds_md, parallel=False)
+        restored = StabilitySession.restore(path, ds_md, executor="serial")
         workload = _grid_workload(kind, k, backend, budget)
         with live, restored:
             assert workload(restored) == workload(live)
@@ -236,10 +236,10 @@ class TestSaveRestoreProperty:
     def test_mid_get_next_cursor_not_rewound(self, ds_md, tmp_path):
         """A consumed ranking stays consumed across the restart."""
         path = tmp_path / "cursor.snap"
-        live = StabilitySession(ds_md, seed=23, parallel=False)
+        live = StabilitySession(ds_md, seed=23, executor="serial")
         first = live.get_next(kind="topk_set", k=4, budget=900)
         live.save(path)
-        restored = StabilitySession.restore(path, ds_md, parallel=False)
+        restored = StabilitySession.restore(path, ds_md, executor="serial")
         with live, restored:
             again = restored.get_next(kind="topk_set", k=4, budget=900)
             assert result_key(again) != result_key(first)
@@ -249,17 +249,17 @@ class TestSaveRestoreProperty:
 
     def test_restored_cache_is_warm(self, ds_md, tmp_path):
         path = tmp_path / "warm.snap"
-        with StabilitySession(ds_md, seed=5, parallel=False) as live:
+        with StabilitySession(ds_md, seed=5, executor="serial") as live:
             live.top_stable(3, kind="topk_set", k=5, budget=800)
             live.save(path)
-        with StabilitySession.restore(path, ds_md, parallel=False) as restored:
+        with StabilitySession.restore(path, ds_md, executor="serial") as restored:
             restored.top_stable(3, kind="topk_set", k=5, budget=800)
             assert restored.last_query_cached
 
     def test_restore_with_fresh_runtime_knobs(self, ds_md, tmp_path):
         """parallel/workers are runtime choices, not snapshot state."""
         path = tmp_path / "knobs.snap"
-        with StabilitySession(ds_md, seed=5, parallel=False) as live:
+        with StabilitySession(ds_md, seed=5, executor="serial") as live:
             live.observe(600, kind="topk_set", k=4)
             live.save(path)
             expected = [
@@ -267,7 +267,7 @@ class TestSaveRestoreProperty:
                 for r in live.top_stable(2, kind="topk_set", k=4, budget=1_000)
             ]
         restored = StabilitySession.restore(
-            path, ds_md, parallel=True, max_workers=2
+            path, ds_md, executor="thread", max_workers=2
         )
         with restored:
             got = [
@@ -294,10 +294,10 @@ class TestSaveRestoreProperty:
              "backend": "randomized", "budget": 1000},
         ]
         path = tmp_path / "batch.snap"
-        live = StabilitySession(ds_md, seed=41, parallel=False)
+        live = StabilitySession(ds_md, seed=41, executor="serial")
         live.run_batch(workload)  # warm pools mid-protocol
         live.save(path)
-        restored = StabilitySession.restore(path, ds_md, parallel=False)
+        restored = StabilitySession.restore(path, ds_md, executor="serial")
 
         def payloads(outcomes):
             out = []
@@ -315,14 +315,14 @@ class TestSaveRestoreProperty:
     def test_snapshot_of_restored_session_round_trips(self, ds_md, tmp_path):
         """restore -> save -> restore is as good as the original."""
         first, second = tmp_path / "a.snap", tmp_path / "b.snap"
-        with StabilitySession(ds_md, seed=29, parallel=False) as live:
+        with StabilitySession(ds_md, seed=29, executor="serial") as live:
             live.top_stable(2, kind="topk_set", k=5, budget=700)
             live.save(first)
             expected = result_key(live.get_next(kind="topk_set", k=5, budget=700))
-        mid = StabilitySession.restore(first, ds_md, parallel=False)
+        mid = StabilitySession.restore(first, ds_md, executor="serial")
         with mid:
             mid.save(second)
-        with StabilitySession.restore(second, ds_md, parallel=False) as restored:
+        with StabilitySession.restore(second, ds_md, executor="serial") as restored:
             assert result_key(
                 restored.get_next(kind="topk_set", k=5, budget=700)
             ) == expected
@@ -331,7 +331,7 @@ class TestSaveRestoreProperty:
 @pytest.fixture
 def snapshot_file(ds_md, tmp_path):
     path = tmp_path / "pool.snap"
-    with StabilitySession(ds_md, seed=11, parallel=False) as session:
+    with StabilitySession(ds_md, seed=11, executor="serial") as session:
         session.top_stable(2, kind="topk_set", k=5, budget=600)
         session.get_next(backend="randomized", budget=500)
         session.save(path)
@@ -354,7 +354,7 @@ class TestCorruption:
     def test_corrupted_bytes_refuse_typed(self, case, snapshot_file, ds_md):
         snapshot_file.write_bytes(case.mutate(snapshot_file.read_bytes()))
         with pytest.raises(case.raises, match=case.match):
-            StabilitySession.restore(snapshot_file, ds_md, parallel=False)
+            StabilitySession.restore(snapshot_file, ds_md, executor="serial")
 
     def test_header_reader_rejects_noise(self, tmp_path):
         """The cheap header probe refuses garbage too, not just restore."""
@@ -393,7 +393,7 @@ class TestCorruption:
         path = tmp_path / "region.snap"
         with StabilitySession(
             ds_md, region=ConstrainedRegion([[1.0, -1.0, 0.0]]), seed=3,
-            parallel=False,
+            executor="serial",
         ) as live:
             live.observe(100, kind="topk_set", k=3)
             live.save(path)
@@ -403,7 +403,7 @@ class TestCorruption:
             )
         path2 = tmp_path / "cone.snap"
         with StabilitySession(
-            ds_md, region=Cone(np.ones(3), 0.3000001), seed=3, parallel=False
+            ds_md, region=Cone(np.ones(3), 0.3000001), seed=3, executor="serial"
         ) as live:
             live.observe(100, kind="topk_set", k=3)
             live.save(path2)
@@ -441,7 +441,7 @@ class TestQuasiStreamPersistence:
     def test_qmc_session_roundtrip_continues_stream(self, ds_md, tmp_path):
         path = tmp_path / "qmc.snap"
         with StabilitySession(
-            ds_md, seed=7, sampling="qmc", parallel=False
+            ds_md, seed=7, sampling="qmc", executor="serial"
         ) as original:
             original.observe(800, kind="topk_set", k=4)
             original.save(path)
@@ -449,8 +449,8 @@ class TestQuasiStreamPersistence:
             expected = [result_key(r) for r in original.top_stable(
                 3, kind="topk_set", k=4, budget=1_500
             )]
-        with StabilitySession.restore(path, ds_md, parallel=False) as restored:
-            assert restored.sampling == "qmc"
+        with StabilitySession.restore(path, ds_md, executor="serial") as restored:
+            assert restored.config.sampling == "qmc"
             got = [result_key(r) for r in restored.top_stable(
                 3, kind="topk_set", k=4, budget=1_500
             )]
@@ -459,7 +459,7 @@ class TestQuasiStreamPersistence:
     def test_mc_snapshot_restores_without_sampling_key(self, ds_md, tmp_path):
         """Old snapshots carry no sampling header/operator state."""
         path = tmp_path / "mc.snap"
-        with StabilitySession(ds_md, seed=7, parallel=False) as original:
+        with StabilitySession(ds_md, seed=7, executor="serial") as original:
             original.observe(500, kind="topk_set", k=4)
             original.save(path)
         # Strip the new keys the way a pre-kernel writer would not have
@@ -484,6 +484,6 @@ class TestQuasiStreamPersistence:
         )
         legacy = tmp_path / "legacy.snap"
         legacy.write_bytes(stripped)
-        with StabilitySession.restore(legacy, ds_md, parallel=False) as restored:
-            assert restored.sampling == "mc"
+        with StabilitySession.restore(legacy, ds_md, executor="serial") as restored:
+            assert restored.config.sampling == "mc"
             restored.observe(200, kind="topk_set", k=4)

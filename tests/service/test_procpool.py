@@ -21,7 +21,6 @@ import pytest
 from repro import Dataset, StabilitySession, parallel_observe
 from repro.core.randomized import GetNextRandomized
 from repro.service.parallel import (
-    EXECUTOR_ENV_VAR,
     ObserveExecutor,
     resolve_executor_mode,
 )
@@ -222,17 +221,6 @@ class TestObserveExecutor:
             # Tiny dataset: auto must pick serial regardless of pools.
             assert executor.observe(op, 100) == "serial"
 
-    def test_env_override_forces_mode(self, monkeypatch):
-        monkeypatch.setenv(EXECUTOR_ENV_VAR, "serial")
-        executor = ObserveExecutor("process", max_workers=2)
-        assert executor.mode == "serial"
-        executor.close()
-
-    def test_env_override_rejects_garbage(self, monkeypatch):
-        monkeypatch.setenv(EXECUTOR_ENV_VAR, "gpu")
-        with pytest.raises(ValueError):
-            ObserveExecutor("auto")
-
     def test_default_start_method_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_START_METHOD", "spawn")
         assert default_start_method() == "spawn"
@@ -250,7 +238,7 @@ class TestSessionIntegration:
     def test_session_process_executor_matches_serial(self):
         dataset = _dataset(30, n=2_500)
         query = dict(kind="topk_set", k=4, backend="randomized", budget=600)
-        with StabilitySession(dataset, seed=3, parallel=False) as serial:
+        with StabilitySession(dataset, seed=3, executor="serial") as serial:
             expected = serial.top_stable(3, **query)
             expected_next = serial.get_next(**query)
         with StabilitySession(

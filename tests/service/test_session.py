@@ -15,7 +15,7 @@ def ds_md(rng_factory):
 
 @pytest.fixture
 def session(ds_md):
-    with StabilitySession(ds_md, seed=7, budget=1_500, parallel=False) as s:
+    with StabilitySession(ds_md, seed=7, budget=1_500, executor="serial") as s:
         yield s
 
 
@@ -73,15 +73,15 @@ class TestSessionReuse:
     def test_seeded_sessions_reproduce(self, ds_md):
         results = []
         for _ in range(2):
-            with StabilitySession(ds_md, seed=99, parallel=False) as s:
+            with StabilitySession(ds_md, seed=99, executor="serial") as s:
                 r = s.top_stable(3, kind="topk_set", k=4, backend="randomized",
                                  budget=1_000)
                 results.append([(x.top_k_set, x.stability) for x in r])
         assert results[0] == results[1]
 
     def test_config_rng_streams_independent_of_creation_order(self, ds_md):
-        with StabilitySession(ds_md, seed=5, parallel=False) as a, \
-             StabilitySession(ds_md, seed=5, parallel=False) as b:
+        with StabilitySession(ds_md, seed=5, executor="serial") as a, \
+             StabilitySession(ds_md, seed=5, executor="serial") as b:
             # a touches ranked first, b touches set first.
             a.top_stable(1, kind="topk_ranked", k=3, backend="randomized",
                          budget=500)
@@ -152,7 +152,7 @@ class TestInvalidation:
     def test_refresh_detects_mutation(self, rng_factory):
         values = rng_factory(31).uniform(size=(50, 3))
         ds = Dataset(values)
-        with StabilitySession(ds, seed=3, parallel=False) as session:
+        with StabilitySession(ds, seed=3, executor="serial") as session:
             session.top_stable(1, backend="randomized", budget=500)
             assert session.refresh() is False  # untouched
             # Simulate out-of-band mutation of the underlying buffer.
@@ -173,10 +173,10 @@ class TestInvalidation:
 
     def test_shared_cache_across_sessions(self, ds_md):
         shared = ResultCache(64)
-        with StabilitySession(ds_md, seed=7, cache=shared, parallel=False) as a:
+        with StabilitySession(ds_md, seed=7, cache=shared, executor="serial") as a:
             a.top_stable(2, kind="topk_set", k=4, backend="randomized",
                          budget=800)
-        with StabilitySession(ds_md, seed=7, cache=shared, parallel=False) as b:
+        with StabilitySession(ds_md, seed=7, cache=shared, executor="serial") as b:
             hits_before = shared.stats.hits
             b.top_stable(2, kind="topk_set", k=4, backend="randomized",
                          budget=800)
@@ -189,7 +189,7 @@ class TestInvalidation:
 class TestValidation:
     def test_bad_parallel_flag(self, ds_md):
         with pytest.raises(ValueError):
-            StabilitySession(ds_md, parallel="sometimes")
+            StabilitySession(ds_md, executor="sometimes")
 
     def test_bad_m(self, session):
         with pytest.raises(ValueError):
@@ -213,7 +213,7 @@ class TestCacheKeyPoolDepth:
         # target-depth entries across sessions (code-review fix).
         shared = ResultCache(64)
         with StabilitySession(ds_md, seed=44, cache=shared,
-                              parallel=False) as deep:
+                              executor="serial") as deep:
             deep.observe(8_000, kind="topk_set", k=4, backend="randomized")
             from_deep = deep.top_stable(
                 1, kind="topk_set", k=4, backend="randomized", budget=1_000
@@ -222,7 +222,7 @@ class TestCacheKeyPoolDepth:
             raw = deep.engine_for("topk_set", 4, "randomized").backend.raw
             assert raw.total_samples == 8_000  # answered from the deep pool
         with StabilitySession(ds_md, seed=44, cache=shared,
-                              parallel=False) as shallow:
+                              executor="serial") as shallow:
             from_shallow = shallow.top_stable(
                 1, kind="topk_set", k=4, backend="randomized", budget=1_000
             )[0]
@@ -234,7 +234,7 @@ class TestCacheKeyPoolDepth:
             )
 
     def test_repeat_at_same_depth_still_hits(self, ds_md):
-        with StabilitySession(ds_md, seed=45, parallel=False) as session:
+        with StabilitySession(ds_md, seed=45, executor="serial") as session:
             session.observe(3_000, kind="topk_set", k=4, backend="randomized")
             first = session.top_stable(
                 1, kind="topk_set", k=4, backend="randomized", budget=1_000
@@ -247,7 +247,7 @@ class TestCacheKeyPoolDepth:
             assert [r.stability for r in first] == [r.stability for r in second]
 
     def test_stability_of_keyed_by_depth(self, ds_md):
-        with StabilitySession(ds_md, seed=46, parallel=False) as session:
+        with StabilitySession(ds_md, seed=46, executor="serial") as session:
             top = session.top_stable(
                 1, kind="topk_set", k=4, backend="randomized", budget=1_000
             )[0]
@@ -278,7 +278,7 @@ class TestThreadLocalCachedFlag:
         from repro import Dataset, StabilitySession
 
         dataset = Dataset(np.random.default_rng(31).uniform(size=(50, 3)))
-        with StabilitySession(dataset, seed=32, parallel=False) as session:
+        with StabilitySession(dataset, seed=32, executor="serial") as session:
             # Warm the pool and the cache for one query identity.
             session.top_stable(1, kind="topk_set", k=3,
                                backend="randomized", budget=200)

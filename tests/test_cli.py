@@ -246,7 +246,7 @@ class TestServiceCommands:
         reqfile = tmp_path / "requests.json"
         reqfile.write_text(json.dumps(requests))
         assert main(["batch", csv_3d_headerless, "--requests", str(reqfile),
-                     "--no-parallel"]) == 0
+                     "--executor", "serial"]) == 0
         lines = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
         records, summary = lines[:-1], lines[-1]
         assert [r["ok"] for r in records] == [True, True, True]
@@ -332,10 +332,10 @@ class TestSnapshotCommands:
 
         snap = str(tmp_path / "pool.snap")
         assert main(["snapshot", csv_3d_headerless, "--out", snap,
-                     "--requests", requests_file, "--no-parallel"]) == 0
+                     "--requests", requests_file, "--executor", "serial"]) == 0
         before = capsys.readouterr().out
         assert main(["restore", csv_3d_headerless, "--snapshot", snap,
-                     "--requests", requests_file, "--no-parallel"]) == 0
+                     "--requests", requests_file, "--executor", "serial"]) == 0
         after = capsys.readouterr().out
         assert before == after
         records = [json.loads(l) for l in after.splitlines()]
@@ -374,7 +374,7 @@ class TestSnapshotCommands:
                               "backend": "randomized", "budget": 400})
         monkeypatch.setattr("sys.stdin", io.StringIO(request + "\n"))
         assert main(["serve", csv_3d_headerless, "--state-dir",
-                     str(state_dir), "--no-parallel"]) == 0
+                     str(state_dir), "--executor", "serial"]) == 0
         first = json.loads(capsys.readouterr().out.splitlines()[0])
         assert first["ok"] is True
         snaps = list(state_dir.glob("*.snap"))
@@ -383,7 +383,7 @@ class TestSnapshotCommands:
         # continues the cursor instead of repeating the first answer.
         monkeypatch.setattr("sys.stdin", io.StringIO(request + "\n"))
         assert main(["serve", csv_3d_headerless, "--state-dir",
-                     str(state_dir), "--no-parallel"]) == 0
+                     str(state_dir), "--executor", "serial"]) == 0
         second = json.loads(capsys.readouterr().out.splitlines()[0])
         assert second["ok"] is True
         assert second["result"]["ranking"] != first["result"]["ranking"]
@@ -421,7 +421,7 @@ class TestSnapshotCommands:
         monkeypatch.setattr("sys.stdin", io.StringIO(request + "\n"))
         assert main(["serve", csv_3d_headerless, "--state-dir",
                      str(tmp_path / "states"), "--checkpoint-every", "1",
-                     "--no-parallel"]) == 0
+                     "--executor", "serial"]) == 0
         captured = capsys.readouterr()
         response = json.loads(captured.out.splitlines()[0])
         assert response["ok"] is True  # the request itself still answered
@@ -439,13 +439,13 @@ class TestSnapshotCommands:
                               "k": 3, "backend": "randomized", "budget": 300})
         monkeypatch.setattr("sys.stdin", io.StringIO(request + "\n"))
         assert main(["serve", csv_3d_headerless, "--state-dir",
-                     str(state_dir), "--no-parallel"]) == 0
+                     str(state_dir), "--executor", "serial"]) == 0
         capsys.readouterr()
         (snap,) = state_dir.glob("*.snap")
         snap.write_bytes(b"garbage" + snap.read_bytes())
         monkeypatch.setattr("sys.stdin", io.StringIO(request + "\n"))
         assert main(["serve", csv_3d_headerless, "--state-dir",
-                     str(state_dir), "--no-parallel"]) == 0
+                     str(state_dir), "--executor", "serial"]) == 0
         captured = capsys.readouterr()
         assert json.loads(captured.out.splitlines()[0])["ok"] is True
         assert "starting cold" in captured.err
@@ -466,7 +466,7 @@ class TestSnapshotCommands:
         for extra in ([], ["--cone-theta", "0.4"]):
             monkeypatch.setattr("sys.stdin", io.StringIO(request + "\n"))
             assert main(["serve", csv_3d_headerless, "--state-dir",
-                         str(state_dir), "--no-parallel", *extra]) == 0
+                         str(state_dir), "--executor", "serial", *extra]) == 0
         capsys.readouterr()
         assert len(list(state_dir.glob("*.snap"))) == 2
 
@@ -622,7 +622,7 @@ class TestServeProtocolHardening:
             "sys.stdin", io.StringIO("".join(line + "\n" for line in lines))
         )
         assert main(["serve", csv_3d_headerless, "--state-dir",
-                     str(state_dir), "--no-parallel"]) == 0
+                     str(state_dir), "--executor", "serial"]) == 0
         responses = [
             json.loads(line) for line in capsys.readouterr().out.splitlines()
         ]
@@ -660,7 +660,7 @@ class TestServeTcpCli:
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro.cli", "serve", csv_3d_headerless,
              "--tcp", "127.0.0.1:0", "--state-dir", str(state_dir),
-             "--no-parallel"],
+             "--executor", "serial"],
             stderr=subprocess.PIPE,
             env=env,
             text=True,
@@ -685,7 +685,7 @@ class TestServeTcpCli:
         proc2 = subprocess.Popen(
             [sys.executable, "-m", "repro.cli", "serve", csv_3d_headerless,
              "--tcp", "127.0.0.1:0", "--state-dir", str(state_dir),
-             "--no-parallel"],
+             "--executor", "serial"],
             stderr=subprocess.PIPE,
             env=env,
             text=True,
