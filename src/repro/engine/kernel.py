@@ -147,15 +147,18 @@ def _descending_keys(scores: np.ndarray) -> tuple[np.ndarray, int]:
     low_mask = np.uint64((1 << id_bits) - 1)
     s = np.ascontiguousarray(scores, dtype=np.float64)
     smin = s.min() if s.size else 0.0
-    if smin < 0.0:
-        u = (s + 0.0).view(np.uint64)
-        sign = np.uint64(0x8000000000000000)
-        u = u ^ (((u >> np.uint64(63)) * np.uint64(0xFFFFFFFFFFFFFFFF)) | sign)
-    elif smin == 0.0:
-        u = (s + 0.0).view(np.uint64)  # normalise -0.0 to +0.0
+    # One private allocation, then in-place bit twiddling: the caller's
+    # score block is never written (collision repair re-reads it).
+    if smin <= 0.0:
+        keys = (s + 0.0).view(np.uint64)  # normalise -0.0 to +0.0
+        if smin < 0.0:
+            sign = np.uint64(0x8000000000000000)
+            keys ^= ((keys >> np.uint64(63)) * np.uint64(0xFFFFFFFFFFFFFFFF)) | sign
+        np.invert(keys, out=keys)
     else:
-        u = s.view(np.uint64)
-    keys = (~u & ~low_mask) | np.arange(n, dtype=np.uint64)
+        keys = np.invert(s.view(np.uint64))
+    keys &= ~low_mask
+    keys |= np.arange(n, dtype=np.uint64)
     return keys, id_bits
 
 
@@ -190,8 +193,8 @@ def full_ranking_rows(scores: np.ndarray) -> np.ndarray:
 def topk_rows(scores: np.ndarray, k: int, *, ranked: bool) -> np.ndarray:
     """Top-k key rows for a block of score rows, in ``O(batch * n)``.
 
-    A fused-key partial selection: ``np.partition`` (value partition,
-    no index payload) pulls each row's ``k + 1`` smallest descending
+    A fused-key partial selection: an in-place value partition (no
+    index payload) pulls each row's ``k + 1`` smallest descending
     keys, the ``k`` winners are ordered by one tiny sort, and ids drop
     out of the key low bits.  Exact score ties — within the top-k and
     at the selection boundary — break by ascending identifier directly
@@ -214,8 +217,10 @@ def topk_rows(scores: np.ndarray, k: int, *, ranked: bool) -> np.ndarray:
         head = keys
     else:
         # kth=k pins the exact (k+1)-th smallest at position k with the
-        # k winners (unordered) before it — one introselect pass.
-        head = np.partition(keys, k, axis=1)[:, : k + 1]
+        # k winners (unordered) before it — one in-place introselect
+        # pass over the private key block.
+        keys.partition(k, axis=1)
+        head = keys[:, : k + 1]
         head.sort(axis=1)
     rows = (head[:, :k] & low_mask).astype(np.intp)
     if ranked is False:

@@ -101,14 +101,19 @@ class KSkybandIndex:
       exact even under attribute ties.
     - ``d > 2`` — the windowed sum-order scan, counting each candidate
       only against *kept* items (sufficient: dominance is transitive,
-      so any excluded dominator certifies ``k`` kept dominators) — but
-      processed against the kept set block-by-block with saturating
+      so any excluded dominator certifies ``k`` kept dominators),
+      processed in ``chunk``-row blocks (512 by default) with saturating
       counts: a candidate stops scanning the moment it reaches ``k``
       dominators.  Because kept blocks arrive in descending sum order,
-      heavily dominated items saturate against the first blocks, which
-      avoids the ``O(n * band)`` full-window blowup at ``n >= 100_000``
-      (and the quadratic re-concatenation of the window) that the
-      previous implementation paid.
+      heavily dominated items saturate against the first blocks.  Kept
+      blocks are stored one attribute per row, so a block's dominance
+      test is an AND of ``d`` two-dimensional ``rows x kept``
+      comparisons, one per attribute (no ``rows x kept x d``
+      temporary), and the in-block test runs only for the rows the scan
+      left alive.  Measured at ``d = 4, k = 10`` on a 2-vCPU host
+      (numpy 2.4): about 30 ms at ``n = 10_000`` uniform (band ~900),
+      0.2 s at ``10_000`` anti-correlated (band ~7,500) and 0.4 s at
+      ``100_000`` uniform.
 
     For ``d > 2``, when a dominating margin is below the sum's
     floating-point rounding unit the processing order between the two
@@ -203,7 +208,7 @@ class KSkybandIndex:
         order = self._order
         sorted_pts = self._sorted_pts
         sorted_sums = self._sorted_sums
-        kept_blocks: list[np.ndarray] = []
+        kept_cols: list[np.ndarray] = []  # kept blocks, one row per attribute
         kept_idx: list[np.ndarray] = []
         for start in range(0, n, chunk):
             block = sorted_pts[start : start + chunk]
@@ -213,23 +218,32 @@ class KSkybandIndex:
             # the strongest dominators first — so most non-band items
             # reach k within the first block and drop out of the scan.
             alive = np.arange(block.shape[0])
-            for kb in kept_blocks:
+            for cols in kept_cols:
                 if alive.size == 0:
                     break
-                sub = block[alive]
-                counts[alive] += (
-                    (kb[None, :, :] > sub[:, None, :]).all(axis=2).sum(axis=1)
-                )
+                counts[alive] += _dominators(cols, block[alive]).sum(axis=1)
                 alive = alive[counts[alive] < k]
-            # Within the block only strictly-larger-sum items can dominate.
-            inner = (block[None, :, :] > block[:, None, :]).all(axis=2)
-            inner &= block_sums[None, :] > block_sums[:, None]
-            counts += inner.sum(axis=1)
+            # Within the block only strictly-larger-sum items can dominate;
+            # every such row is a candidate, but only alive rows are tested
+            # (the others already have k dominators).
+            if alive.size:
+                inner = _dominators(block.T, block[alive])
+                inner &= block_sums > block_sums[alive, None]
+                counts[alive] += inner.sum(axis=1)
             keep = counts < k
             if keep.any():
-                kept_blocks.append(np.ascontiguousarray(block[keep]))
+                kept_cols.append(np.ascontiguousarray(block[keep].T))
                 kept_idx.append(order[start : start + chunk][keep])
         return np.sort(np.concatenate(kept_idx)).astype(np.intp)
+
+
+def _dominators(cols: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``(len(rows), cols.shape[1])`` mask of strict dominance in every
+    attribute; ``cols`` holds the candidates one attribute per row."""
+    mask = cols[0] > rows[:, 0, None]
+    for a in range(1, cols.shape[0]):
+        mask &= cols[a] > rows[:, a, None]
+    return mask
 
 
 def k_skyband(values: np.ndarray, k: int, *, chunk: int = 512) -> np.ndarray:

@@ -68,14 +68,17 @@ class LatencyHistogram:
         return float("inf")
 
     def snapshot(self) -> dict:
-        return {
+        """JSON-safe summary: a quantile past the last bound reads as the
+        string ``"inf"`` (strict JSON has no infinity)."""
+        doc = {
             "count": self.count,
             "sum_seconds": round(self.sum, 6),
             "mean_seconds": round(self.sum / self.count, 6) if self.count else 0.0,
-            "p50_seconds": self.quantile(0.50),
-            "p95_seconds": self.quantile(0.95),
-            "p99_seconds": self.quantile(0.99),
         }
+        for name, q in (("p50", 0.50), ("p95", 0.95), ("p99", 0.99)):
+            value = self.quantile(q)
+            doc[f"{name}_seconds"] = "inf" if value == float("inf") else value
+        return doc
 
 
 class ServerMetrics:

@@ -108,6 +108,54 @@ class TestTopkRows:
         assert list(kernel.batch_topk_indices(scores, 4)) == _top_k_order(scores, 4)
 
 
+class TestSelectionNeverWritesScores:
+    """Collision repair re-reads the caller's score block (a re-derived
+    dot product could differ in the last ulp), so every selection
+    routine must leave that block byte-equal."""
+
+    @staticmethod
+    def _block(rng, sign):
+        if sign == "positive":
+            scores, top = rng.uniform(0.5, 1.0, size=(6, 40)), 2.0
+        elif sign == "signed_zero":
+            scores, top = rng.uniform(0.0, 1.0, size=(6, 40)), 2.0
+            scores[:, ::4] = 0.0
+            scores[:, 1::4] = -0.0
+        else:
+            scores, top = -rng.uniform(1.0, 2.0, size=(6, 40)), -0.7
+        # Row 0: item 9 beats item 2 by one ulp, so their fused keys
+        # share the truncated prefix and the exact repair must run.
+        scores[0, 2] = top
+        scores[0, 9] = np.nextafter(top, np.inf)
+        return scores
+
+    @pytest.mark.parametrize("sign", ["positive", "signed_zero", "negative"])
+    def test_score_block_is_byte_equal_after_selection(
+        self, rng, sign, monkeypatch
+    ):
+        scores = self._block(rng, sign)
+        before = scores.copy()
+        repaired = []
+        exact = kernel._top_k_order
+        monkeypatch.setattr(
+            kernel,
+            "_top_k_order",
+            lambda row, k: repaired.append(k) or exact(row, k),
+        )
+        expected = np.argsort(-scores, axis=1, kind="stable")
+        for k in (1, 5, 39, 40):
+            ranked = kernel.topk_rows(scores, k, ranked=True)
+            assert scores.tobytes() == before.tobytes()
+            assert np.array_equal(ranked, expected[:, :k])
+            as_set = kernel.topk_rows(scores, k, ranked=False)
+            assert scores.tobytes() == before.tobytes()
+            assert np.array_equal(as_set, np.sort(expected[:, :k], axis=1))
+        assert repaired, "the collision row never reached the exact repair"
+        full = kernel.full_ranking_rows(scores)
+        assert scores.tobytes() == before.tobytes()
+        assert np.array_equal(full, expected)
+
+
 class TestPackedKeys:
     def test_dtype_selection(self):
         assert kernel.key_dtype_for(200) == np.uint8

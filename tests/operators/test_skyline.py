@@ -204,4 +204,86 @@ class TestKSkyband:
         start = time.perf_counter()
         band_md = k_skyband(values_md, 10)
         assert 0 < band_md.size < 100_000
-        assert time.perf_counter() - start < 30.0
+        assert time.perf_counter() - start < 3.0
+
+
+def _broadcast_band(values, k, chunk):
+    """Reference md build: the index's sum order, ``chunk``-row blocks,
+    saturation rule and in-block sum rule, with every dominance test
+    written as one ``(rows x kept x d)`` broadcast reduced over the
+    attribute axis, and the in-block test run for every row."""
+    pts = np.asarray(values, dtype=np.float64)
+    n = pts.shape[0]
+    order = np.argsort(-pts.sum(axis=1), kind="stable")
+    sorted_pts = np.ascontiguousarray(pts[order])
+    sorted_sums = sorted_pts.sum(axis=1)
+    kept_blocks, kept_idx = [], []
+    for start in range(0, n, chunk):
+        block = sorted_pts[start : start + chunk]
+        block_sums = sorted_sums[start : start + chunk]
+        counts = np.zeros(block.shape[0], dtype=np.int64)
+        alive = np.arange(block.shape[0])
+        for kb in kept_blocks:
+            if alive.size == 0:
+                break
+            sub = block[alive]
+            counts[alive] += (
+                (kb[None, :, :] > sub[:, None, :]).all(axis=2).sum(axis=1)
+            )
+            alive = alive[counts[alive] < k]
+        inner = (block[None, :, :] > block[:, None, :]).all(axis=2)
+        inner &= block_sums[None, :] > block_sums[:, None]
+        counts += inner.sum(axis=1)
+        keep = counts < k
+        if keep.any():
+            kept_blocks.append(np.ascontiguousarray(block[keep]))
+            kept_idx.append(order[start : start + chunk][keep])
+    return np.sort(np.concatenate(kept_idx)).astype(np.intp)
+
+
+def _anticorrelated(rng, n, d):
+    from repro.datasets import anticorrelated_dataset
+
+    return anticorrelated_dataset(n, d, rng).values
+
+
+_BAND_DATA = {
+    "uniform": lambda rng, n, d: rng.uniform(size=(n, d)),
+    "anticorrelated": _anticorrelated,
+    "integer_ties": lambda rng, n, d: rng.integers(0, 4, (n, d)).astype(float),
+    "triplicated": lambda rng, n, d: rng.permutation(
+        np.tile(rng.uniform(size=(n // 3, d)), (3, 1))
+    ),
+    # A dominating margin of one ulp of 1.0 vanishes in the row sum, so
+    # a dominator's computed sum can equal the dominated item's: the
+    # case where the md build returns a superset of the exact band.
+    "sub_ulp": lambda rng, n, d: 1.0 + rng.integers(0, 4, (n, d)) * 2.0**-52,
+}
+
+
+class TestKSkybandMatchesBroadcastReference:
+    """The md build's decisions pinned bit for bit: same band (values,
+    dtype, order) as the broadcast reference on every grid cell."""
+
+    @pytest.mark.parametrize("d", (3, 4, 6))
+    @pytest.mark.parametrize("kind", sorted(_BAND_DATA))
+    def test_band_is_bit_identical(self, kind, d):
+        for seed, chunk in enumerate((1, 7, 64, 512)):
+            # At least two blocks at every chunk size; chunk=1 runs one
+            # Python-level block test per kept item, so it stays small.
+            n = 40 if chunk == 1 else chunk + 100
+            rng = np.random.default_rng([d, seed, sorted(_BAND_DATA).index(kind)])
+            values = _BAND_DATA[kind](rng, n, d)
+            index = KSkybandIndex(values, chunk=chunk)
+            strict = (values[None, :, :] > values[:, None, :]).all(axis=2)
+            dominators = strict.sum(axis=1)
+            for k in (1, 3, 10, 25):
+                got = index.band(k)
+                expected = _broadcast_band(values, k, chunk)
+                assert got.dtype == expected.dtype
+                assert np.array_equal(got, expected), (kind, d, chunk, k)
+                exact = np.flatnonzero(dominators < k)
+                if kind == "integer_ties":
+                    assert np.array_equal(got, exact), (d, chunk, k)
+                else:
+                    assert set(exact.tolist()) <= set(got.tolist())

@@ -4,6 +4,7 @@ extended ``stats`` surface, metrics-endpoint lint, and the hardened
 
 from __future__ import annotations
 
+import json
 import math
 import threading
 import urllib.request
@@ -201,3 +202,34 @@ class TestLatencyHistogramQuantiles:
             hist.observe(value)
         assert hist.quantile(0.5) == 0.005
         assert hist.quantile(1.0) == 10.0
+
+    def test_snapshot_past_the_last_bound_is_strict_json(self):
+        hist = LatencyHistogram()
+        hist.observe(0.004)
+        hist.observe(11.0)
+        snap = hist.snapshot()
+        json.dumps(snap, allow_nan=False)
+        assert snap["p50_seconds"] == 0.005
+        assert snap["p95_seconds"] == snap["p99_seconds"] == "inf"
+
+
+class TestSlowRequestSurfaces:
+    def test_stats_and_diag_answer_after_a_request_past_ten_seconds(
+        self, dataset
+    ):
+        """The two ops that explain a slow request must keep answering
+        once one happened (its latency lands past the last bucket)."""
+        with running_server(dataset) as handle:
+            handle.server.metrics.observe_request(
+                "top_stable", 11.0, dataset="default"
+            )
+            with ServeClient(host=handle.host, port=handle.port) as client:
+                stats = client.stats()
+                diag = client.diag()
+        assert stats["ok"] is True, stats
+        latency = stats["server"]["metrics"]["latency"]["top_stable"]
+        assert latency["p99_seconds"] == "inf"
+        assert diag["ok"] is True, diag
+        assert diag["diag"]["metrics"][-1]["latency"]["top_stable"][
+            "p99_seconds"
+        ] == "inf"
