@@ -160,7 +160,7 @@ def _add_session_dials(
         "--executor",
         default=unset,
         help="observe executor: auto (default, picked per pass), serial, "
-        "thread, or process (shared-memory worker pool)",
+        "or thread",
     )
     parser.add_argument(
         "--workers",

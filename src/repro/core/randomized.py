@@ -255,7 +255,7 @@ class GetNextRandomized:
         """The next ``batch`` sampled weight rows of this operator's stream.
 
         The single sampling entry point shared by the serial observe
-        loop and the thread/process observers — ``"mc"`` consumes the
+        loop and the thread observer — ``"mc"`` consumes the
         rng, ``"qmc"`` advances the low-discrepancy stream.  Callers
         must draw in plan order (one chunk at a time) so every observe
         path consumes the identical stream.

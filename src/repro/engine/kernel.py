@@ -346,8 +346,8 @@ class RankingTally:
         ``bytes`` hash keys, no per-key Python loop materialises an
         intermediate list) or any iterable of ``bytes``.  This is the
         mergeable half of :meth:`observe_rows`: a worker can reduce its
-        block off-thread (or out-of-process) and the owner folds the
-        result in here.  Folding blocks in their serial order
+        block off-thread and the owner folds the result in here.
+        Folding blocks in their serial order
         reproduces the serial tally exactly — counts, totals, and
         first-seen tie-break order.
         """

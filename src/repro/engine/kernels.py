@@ -1,9 +1,9 @@
 """Pluggable kernel backends for the chunk reduction.
 
-Every observe pass — serial, thread-sharded, or process-sharded —
-bottoms out in the same chunk reduction: score a block of sampled
-functions (one BLAS GEMM), reduce each score row to a ranking key,
-byte-pack the keys, and ``np.unique`` them into a mergeable mini-tally.
+Every observe pass — serial or thread-sharded — bottoms out in the
+same chunk reduction: score a block of sampled functions (one BLAS
+GEMM), reduce each score row to a ranking key, byte-pack the keys, and
+``np.unique`` them into a mergeable mini-tally.
 This module makes the *reduction* stage pluggable:
 
 - :class:`KernelBackend` (``"numpy"``) — the reference implementation,

@@ -13,9 +13,9 @@ The serving tier's traffic simulator and failure-mode hunter:
   answer-equivalence oracle (:func:`compare_records`);
 - :mod:`repro.loadgen.replay` — re-runs a recorded trace against any
   server build and reports equivalence (:func:`replay_trace`);
-- :mod:`repro.loadgen.soak` — bounded soak asserting flat RSS and zero
-  shared-memory leaks from the live ``/metrics`` scrape
-  (:func:`run_soak`, ``python -m repro.loadgen.soak``);
+- :mod:`repro.loadgen.soak` — bounded soak asserting flat RSS from the
+  live ``/metrics`` scrape (:func:`run_soak`,
+  ``python -m repro.loadgen.soak``);
 - :mod:`repro.loadgen.fuzz` — malformed-frame and corrupt-snapshot
   generators plus the robustness contracts the fuzz suites assert.
 

@@ -14,7 +14,7 @@ trace replay relies on (same spec, same server, same answers).
 
 :func:`scrape_metrics` fetches and parses a live Prometheus
 ``/metrics`` exposition so harnesses (the soak, CI) can assert resource
-invariants — flat RSS, zero shared-memory segments — from the outside.
+invariants — flat RSS — from the outside.
 """
 
 from __future__ import annotations

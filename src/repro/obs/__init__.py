@@ -6,7 +6,7 @@ Small modules, threaded through every layer of the stack:
   module-level disabled fast path (``obs.span(...)`` costs one int
   test when no trace is open).
 - :mod:`repro.obs.logs` — structured event logging (JSON lines behind
-  ``--log-json``), spawn-safe for procpool workers.
+  ``--log-json``), with no handlers installed at import time.
 - :mod:`repro.obs.metrics` — a generalized counter/gauge registry with
   Prometheus rendering; ``server/metrics.py`` is a client.
 - :mod:`repro.obs.flight` — bounded flight-recorder rings (events,

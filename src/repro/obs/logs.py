@@ -1,16 +1,14 @@
 """Structured event logging on the stdlib :mod:`logging` machinery.
 
 Every noteworthy runtime event (pool growth jumps, checkpoint /
-eviction / drain, worker crash rescue, budget exhaustion, slow
-queries) flows through :func:`log_event` with a stable event name and
-flat key/value fields.  Rendering is a formatter concern: the default
-is human-readable text, ``--log-json`` switches the same records to
-JSON lines.
+eviction / drain, budget exhaustion, slow queries) flows through
+:func:`log_event` with a stable event name and flat key/value fields.
+Rendering is a formatter concern: the default is human-readable text,
+``--log-json`` switches the same records to JSON lines.
 
-The module installs **no handlers at import time**, so procpool
-workers spawned with a fresh interpreter inherit nothing and stay
-silent unless their parent explicitly configured them — spawn-safe by
-construction.
+The module installs **no handlers at import time**: a library
+embedding :mod:`repro` stays silent unless it configures logging
+itself.
 """
 
 from __future__ import annotations
@@ -40,7 +38,6 @@ EVENTS = (
     "session.restore",    # a session was restored from a snapshot
     "session.evict",      # registry evicted an idle session
     "server.drain",       # graceful drain began / finished
-    "worker.rescue",      # a broken process pool fell back in-process
     "slow_query",         # a query exceeded the slow-query threshold
     "diag.dump",          # a flight-recorder diag bundle was written
 )

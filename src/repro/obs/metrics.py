@@ -2,7 +2,7 @@
 
 ``server/metrics.py`` keeps its purpose-built request counters and
 latency histograms but becomes a *client* of this registry: resource
-gauges (RSS, live shm segments, per-session pool bytes, cache bytes)
+gauges (RSS, per-session pool bytes, cache bytes)
 registered here render into the same Prometheus text exposition and
 the same ``stats`` snapshots.
 
@@ -174,21 +174,12 @@ def register_resource_gauges(
     nor leaves a previous server's closures sampling dead sessions
     when this call omits ``pool_bytes``/``cache_bytes``.
     """
-    for name in ("repro_process_rss_bytes", "repro_shm_segments",
-                 "repro_pool_bytes", "repro_cache_bytes"):
+    for name in ("repro_process_rss_bytes", "repro_pool_bytes",
+                 "repro_cache_bytes"):
         registry.unregister(name)
     registry.register_gauge(
         "repro_process_rss_bytes", rss_bytes,
         help="Resident set size of the serving process.")
-
-    def _shm_segments() -> int:
-        from repro.service.procpool import live_segments
-
-        return len(live_segments())
-
-    registry.register_gauge(
-        "repro_shm_segments", _shm_segments,
-        help="Live shared-memory segments owned by this process.")
     if pool_bytes is not None:
         registry.register_gauge(
             "repro_pool_bytes", pool_bytes,

@@ -8,10 +8,10 @@ instrumented call sites pay one module-level integer truth test and
 receive a shared no-op singleton: no allocation, no contextvar read.
 
 The span stack lives in a :class:`contextvars.ContextVar`, so traces
-are isolated per thread (and per asyncio task).  Worker threads and
-worker processes never open spans of their own: the sampling and the
-plan-order tally folds both happen on the caller's thread, so
-caller-side instrumentation accounts for the full pass.
+are isolated per thread (and per asyncio task).  Worker threads never
+open spans of their own: the sampling and the plan-order tally folds
+both happen on the caller's thread, so caller-side instrumentation
+accounts for the full pass.
 
 >>> from repro import obs
 >>> with obs.trace("query") as t:

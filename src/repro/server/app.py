@@ -8,12 +8,8 @@ SessionRegistry`.  Design points, in the order they matter:
 executor; write-classified requests (pool growth, cursor advances,
 checkpoints) run on a small dedicated thread pool, so a burst of cold
 observes can never occupy every executor thread and starve warm reads
-of a slot.  With the registry's ``executor="process"`` the observe
-itself leaves the serving process entirely (shared-memory worker pool,
-:mod:`repro.service.procpool`): the write thread just waits on worker
-futures, the GIL stays free, and the event loop keeps multiplexing
-reads while a cold pool grows.  Per-session read/write locks let warm
-idempotent queries interleave while pool growth serializes (see
+of a slot.  Per-session read/write locks let warm idempotent queries
+interleave while pool growth serializes (see
 :mod:`repro.server.registry`).  Responses on one connection are written
 in request order, so pipelining clients need no correlation ids (though
 ``"id"`` echoing is supported).
@@ -288,7 +284,7 @@ class StabilityServer:
         return self.address
 
     def _register_resource_gauges(self) -> None:
-        """Resource telemetry on the metrics registry (RSS, shm, pools).
+        """Resource telemetry on the metrics registry (RSS, pools, caches).
 
         The closures snapshot the active-session map per read — gauge
         scrapes race session activation/eviction, and the registry
@@ -445,8 +441,7 @@ class StabilityServer:
             obs_flight.disable()
             self._flight_enabled_here = False
         # registry.close() closed every session, which shut down their
-        # observe pools (process workers included, shared memory
-        # unlinked); the write-dispatch threads go last.
+        # observe pools; the write-dispatch threads go last.
         if self._write_pool is not None:
             self._write_pool.shutdown(wait=True)
             self._write_pool = None

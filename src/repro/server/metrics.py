@@ -86,9 +86,9 @@ class ServerMetrics:
 
     def __init__(self, registry: MetricsRegistry | None = None):
         self._lock = threading.Lock()
-        #: Generalized gauge/counter registry; resource gauges (RSS, shm
-        #: segments, pool/cache bytes) are registered here by the app and
-        #: rendered alongside the server families.
+        #: Generalized gauge/counter registry; resource gauges (RSS,
+        #: pool/cache bytes) are registered here by the app and rendered
+        #: alongside the server families.
         self.registry = registry if registry is not None else MetricsRegistry()
         self.started_at = time.time()
         self.requests_total: dict[str, int] = {}
@@ -321,7 +321,7 @@ class ServerMetrics:
                     f"{hist.count}"
                 )
             body = "\n".join(lines) + "\n"
-        # Registry gauges read process state (RSS, shm) and the SLO
+        # Registry gauges read process state (RSS) and the SLO
         # tracker reads back through dataset_view() — render both
         # outside the server lock.
         body += self.registry.render_text()

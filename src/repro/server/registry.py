@@ -195,10 +195,6 @@ class SessionRegistry:
         seed defaults to 0, not fresh entropy).
         Cold starts use all of it; restored sessions take the durable
         fields from their snapshot and only the runtime ones from here.
-        ``executor="process"`` gives every session a persistent
-        shared-memory worker pool, so pool-growth writes run
-        out-of-process and the event loop (and warm reads on other
-        datasets) stay responsive under cold-observe load.
     """
 
     def __init__(

@@ -5,8 +5,8 @@ turns it into a serving tier:
 
 - :mod:`repro.service.config` — :class:`SessionConfig`, the one frozen,
   validated object carrying every session dial (durable: seed,
-  confidence, budget, sampling; runtime: executor, workers, start
-  method, kernel, cache size);
+  confidence, budget, sampling; runtime: executor, workers, kernel,
+  cache size);
 - :mod:`repro.service.session` — :class:`StabilitySession`, reusable
   per-dataset state (cumulative Monte-Carlo pools, the shared k-skyband
   index, cached exact enumerations) behind pool-based query semantics;
@@ -18,13 +18,9 @@ turns it into a serving tier:
   amortizing one sampling pass across a whole batch;
 - :mod:`repro.service.parallel` — :class:`ObserveExecutor` /
   :func:`parallel_observe`, shard-parallel observe over the kernel's
-  scoring chunks (serial / thread pool / process pool behind one dial)
-  with exact serial tally equivalence and a serial fallback below the
-  auto threshold;
-- :mod:`repro.service.procpool` — :class:`ProcessObserveEngine`, the
-  persistent process pool behind ``executor="process"``: the dataset
-  lives in shared memory once, workers map zero-copy views and run the
-  pure chunk reduction out-of-process;
+  scoring chunks (serial / thread pool behind one dial) with exact
+  serial tally equivalence and a serial fallback below the auto
+  threshold;
 - :mod:`repro.service.persist` — versioned snapshot/restore for
   sessions (:meth:`StabilitySession.save` /
   :meth:`StabilitySession.restore`): byte-packed tallies, rng streams,
@@ -52,7 +48,6 @@ from repro.service.parallel import (
     parallel_observe,
     should_parallelize,
 )
-from repro.service.procpool import ProcessObserveEngine, live_segments
 from repro.service.persist import (
     SNAPSHOT_VERSION,
     SnapshotInfo,
@@ -83,7 +78,5 @@ __all__ = [
     "parallel_observe",
     "should_parallelize",
     "ObserveExecutor",
-    "ProcessObserveEngine",
     "default_workers",
-    "live_segments",
 ]

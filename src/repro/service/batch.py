@@ -10,8 +10,8 @@ growth):
 1. **group** requests by query configuration ``(kind, k, backend)``;
 2. **prefill** each randomized group's pool once, to the *maximum*
    target any of its requests wants — one observe pass through the
-   session's :class:`~repro.service.parallel.ObserveExecutor` (thread-
-   or process-sharded when it pays) instead of one per request;
+   session's :class:`~repro.service.parallel.ObserveExecutor`
+   (thread-sharded when it pays) instead of one per request;
 3. **answer** every request in submission order through the ordinary
    session methods, which now find their pool already warm (and the
    result cache on the fast path for repeats).

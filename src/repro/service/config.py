@@ -4,11 +4,11 @@ A session's answers depend on four values: the sample stream (``seed``,
 ``sampling``), the default pool ``budget`` and the ``confidence`` of the
 Equation 10/11 half-widths.  These are the **durable** fields: a
 snapshot stores them, and a restore takes them from the snapshot header.
-The other five change only speed and memory — every executor, worker
-count, start method and kernel produces byte-identical tallies — so
-they are **runtime** fields, chosen afresh by whoever restores.
+The other four change only speed and memory — every executor, worker
+count and kernel produces byte-identical tallies — so they are
+**runtime** fields, chosen afresh by whoever restores.
 
-:class:`SessionConfig` names, defaults and validates all nine in one
+:class:`SessionConfig` names, defaults and validates all eight in one
 place.  :class:`~repro.service.StabilitySession`,
 :class:`~repro.server.SessionRegistry`,
 :func:`~repro.service.persist.load_session` and the CLI carry one
@@ -19,7 +19,6 @@ instance; each also accepts the field names as keywords, merged over
 from __future__ import annotations
 
 import dataclasses
-import multiprocessing
 from dataclasses import dataclass
 
 from repro.engine.kernels import available_kernels
@@ -32,7 +31,7 @@ __all__ = ["DURABLE", "RUNTIME", "SAMPLING_SCHEMES", "SessionConfig"]
 DURABLE = ("seed", "confidence", "budget", "sampling")
 
 #: Fields that trade only speed and memory: the restoring caller's choice.
-RUNTIME = ("executor", "max_workers", "start_method", "kernel", "cache_size")
+RUNTIME = ("executor", "max_workers", "kernel", "cache_size")
 
 SAMPLING_SCHEMES = ("mc", "qmc")
 
@@ -64,16 +63,11 @@ class SessionConfig:
     Runtime fields:
 
     ``executor``
-        Observe executor: ``"serial"``, ``"thread"``, ``"process"``
-        (the shared-memory worker pool of :mod:`repro.service.procpool`)
-        or ``"auto"`` (picked per pass from the work size and key width).
+        Observe executor: ``"serial"``, ``"thread"`` or ``"auto"``
+        (picked per pass from the work size).
     ``max_workers``
         Worker-pool width; ``None`` means the usable cores minus one
         (:func:`repro.service.parallel.default_workers`).
-    ``start_method``
-        Multiprocessing start method of the process pool; ``None``
-        defers to ``REPRO_START_METHOD``, then fork (forkserver once
-        threads exist).
     ``kernel``
         Chunk-reduction backend (``"numpy"``, ``"numba"``, ``"auto"``);
         ``None`` defers to ``REPRO_KERNEL``, then auto-selection.  A
@@ -90,7 +84,6 @@ class SessionConfig:
     sampling: str = "mc"
     executor: str = "auto"
     max_workers: int | None = None
-    start_method: str | None = None
     kernel: str | None = None
     cache_size: int = 512
 
@@ -110,11 +103,6 @@ class SessionConfig:
             )
         if self.max_workers is not None and self.max_workers < 1:
             raise ValueError(f"max_workers must be >= 1, got {self.max_workers!r}")
-        methods = multiprocessing.get_all_start_methods()
-        if self.start_method is not None and self.start_method not in methods:
-            raise ValueError(
-                f"start_method must be one of {methods}, got {self.start_method!r}"
-            )
         if self.kernel is not None:
             kernels = ("auto", *available_kernels())
             if self.kernel not in kernels:

@@ -3,12 +3,9 @@
 The kernel's observe pass is embarrassingly parallel across scoring
 chunks: each chunk's BLAS product, ranking-key reduction, and byte-pack
 is independent, and numpy releases the GIL inside all three, so a
-thread pool scales the pass across cores without pickling the dataset;
-a *process* pool (:mod:`repro.service.procpool`) goes further, moving
-the whole reduction — including the GIL-bound byte-pack/unique tail —
-out of the serving process over zero-copy shared-memory views.
+thread pool scales the pass across cores without pickling the dataset.
 
-Exact serial equivalence is preserved by construction (both pools):
+Exact serial equivalence is preserved by construction:
 
 1. the pruning-index build and chunk plan run first, exactly as the
    serial path would (:meth:`GetNextRandomized.prepare_observe` /
@@ -24,9 +21,9 @@ Exact serial equivalence is preserved by construction (both pools):
    tally byte-for-byte — counts, totals, and first-seen tie-breaks.
 
 :class:`ObserveExecutor` is the one dial over all of it: ``serial`` /
-``thread`` / ``process`` backends behind a single ``observe`` call,
-with an ``auto`` mode that picks per pass from the work size
-(``n_items`` x chunks x cores) and the packed-key width.
+``thread`` backends behind a single ``observe`` call, with an ``auto``
+mode that picks per pass from the work size (``n_items`` x chunks x
+cores).
 """
 
 from __future__ import annotations
@@ -43,8 +40,6 @@ from repro.obs import tracing as obs_trace
 __all__ = [
     "PARALLEL_MIN_ITEMS",
     "PARALLEL_MIN_CHUNKS",
-    "PROCESS_MIN_ITEMS",
-    "PROCESS_MAX_KEY_BYTES",
     "EXECUTOR_MODES",
     "default_workers",
     "should_parallelize",
@@ -60,18 +55,7 @@ PARALLEL_MIN_ITEMS = 2_048
 #: A pass needs at least this many chunks for sharding to matter.
 PARALLEL_MIN_CHUNKS = 2
 
-#: Below this many items the per-chunk IPC (pickle weights out, packed
-#: uniques back) outweighs what a worker process saves over a thread.
-PROCESS_MIN_ITEMS = 50_000
-
-#: Auto mode never routes a pass whose packed ranking keys are wider
-#: than this to the process pool: result transport is ``O(rows x
-#: key_bytes)``, so full-ranking keys at large ``n`` (4 bytes per item
-#: per sample) would drown the win in IPC.  Top-k keys are a few dozen
-#: bytes and ship for free.
-PROCESS_MAX_KEY_BYTES = 256
-
-EXECUTOR_MODES = ("auto", "serial", "thread", "process")
+EXECUTOR_MODES = ("auto", "serial", "thread")
 
 
 def default_workers() -> int:
@@ -106,32 +90,15 @@ def should_parallelize(
     )
 
 
-def resolve_executor_mode(
-    n_items: int,
-    n_chunks: int,
-    max_workers: int,
-    *,
-    key_bytes: int | None = None,
-) -> str:
-    """Auto-select ``serial`` / ``thread`` / ``process`` for one pass.
+def resolve_executor_mode(n_items: int, n_chunks: int, max_workers: int) -> str:
+    """Auto-select ``serial`` / ``thread`` for one pass.
 
     The decision surface (also the README's executor-selection table):
-
-    - too small to shard (``n_items < 2_048``, fewer than 2 chunks, or
-      a single worker) -> ``serial``;
-    - shardable but under 50_000 items, or packed keys wider than
-      :data:`PROCESS_MAX_KEY_BYTES` (full rankings at large ``n``) ->
-      ``thread`` — the GIL-releasing numpy sections dominate there and
-      IPC would eat the process win;
-    - at least 50_000 items with narrow keys -> ``process``.
+    too small to shard (``n_items < 2_048``, fewer than 2 chunks, or a
+    single worker) -> ``serial``; otherwise -> ``thread``, where the
+    GIL-releasing numpy sections run side by side.
     """
-    if not should_parallelize(n_items, n_chunks, max_workers):
-        return "serial"
-    if n_items < PROCESS_MIN_ITEMS:
-        return "thread"
-    if key_bytes is not None and key_bytes > PROCESS_MAX_KEY_BYTES:
-        return "thread"
-    return "process"
+    return "thread" if should_parallelize(n_items, n_chunks, max_workers) else "serial"
 
 
 def _reduce_chunk(op: GetNextRandomized, weights: np.ndarray):
@@ -251,41 +218,31 @@ def parallel_observe(
 
 
 class ObserveExecutor:
-    """One dial over serial / thread-pool / process-pool observe.
+    """One dial over serial / thread-pool observe.
 
     The session, the batch planner, and the server all route pool
-    growth through one of these; it owns the persistent pools (one
-    thread pool, one process engine per dataset) and picks the backend
-    per pass:
+    growth through one of these; it owns the persistent thread pool and
+    picks the backend per pass:
 
     - ``mode="serial"`` — always ``op.observe`` on the caller's thread;
-    - ``mode="thread"`` / ``"process"`` — always that pool (explicit
-      modes run the sharded path even for tiny passes: the caller has
-      decided, and tests rely on pinning the code path);
+    - ``mode="thread"`` — always the pool (an explicit mode runs the
+      sharded path even for tiny passes: the caller has decided, and
+      tests rely on pinning the code path);
     - ``mode="auto"`` — :func:`resolve_executor_mode` per pass.
 
-    :meth:`close` shuts both pools down and unlinks the process
-    engine's shared-memory segments — sessions call it from their own
-    ``close``, so server drains and evictions release everything
-    deterministically.
+    :meth:`close` shuts the pool down — sessions call it from their own
+    ``close``, so server drains and evictions release the worker
+    threads deterministically.
     """
 
-    def __init__(
-        self,
-        mode: str = "auto",
-        *,
-        max_workers: int | None = None,
-        start_method: str | None = None,
-    ):
+    def __init__(self, mode: str = "auto", *, max_workers: int | None = None):
         if mode not in EXECUTOR_MODES:
             raise ValueError(
                 f"executor mode must be one of {EXECUTOR_MODES}, got {mode!r}"
             )
         self.mode = mode
         self.max_workers = max_workers
-        self.start_method = start_method
         self._thread_pool: ThreadPoolExecutor | None = None
-        self._proc = None  # ProcessObserveEngine, lazy
         self._closed = False
         #: Cost-attribution record of the most recent pass:
         #: ``{"executor", "n", "chunks", "kernel"}`` (observability only).
@@ -305,12 +262,9 @@ class ObserveExecutor:
         if self.mode != "auto":
             return self.mode
         raw = getattr(op, "raw", op)
-        key_bytes = raw.tally.key_length * raw.tally.dtype.itemsize
-        return resolve_executor_mode(
-            raw.dataset.n_items, n_chunks, self.workers, key_bytes=key_bytes
-        )
+        return resolve_executor_mode(raw.dataset.n_items, n_chunks, self.workers)
 
-    # -- pools ----------------------------------------------------------
+    # -- pool -----------------------------------------------------------
     def _threads(self) -> ThreadPoolExecutor:
         if self._thread_pool is None:
             self._thread_pool = ThreadPoolExecutor(
@@ -319,28 +273,13 @@ class ObserveExecutor:
             )
         return self._thread_pool
 
-    def _processes(self, dataset):
-        from repro.service.procpool import ProcessObserveEngine
-
-        if self._proc is not None and self._proc.dataset.values is not dataset.values:
-            # The served dataset was swapped; the old segments are stale.
-            self._proc.close()
-            self._proc = None
-        if self._proc is None:
-            self._proc = ProcessObserveEngine(
-                dataset,
-                max_workers=max(self.workers, 1),
-                start_method=self.start_method,
-            )
-        return self._proc
-
     # -- the one entry point -------------------------------------------
     def observe(self, op, n_new: int) -> str:
         """Grow ``op``'s pool by ``n_new``; returns the backend used.
 
         Every backend produces the byte-identical tally; the return
-        value (``"serial"`` / ``"thread"`` / ``"process"``) is for
-        observability and tests only.
+        value (``"serial"`` / ``"thread"``) is for observability and
+        tests only.
         """
         if self._closed:
             raise RuntimeError("ObserveExecutor is closed")
@@ -415,27 +354,20 @@ class ObserveExecutor:
         if mode == "serial" or self.workers < 1 or n_chunks < 1:
             raw.observe(n_new)
             return "serial", n_chunks
-        forced = self.mode != "auto"
-        if mode == "process":
-            self._processes(raw.dataset).observe(raw, n_new, force=forced)
-            return "process", n_chunks
         sharded = parallel_observe(
-            raw, n_new, executor=self._threads(), force=forced
+            raw, n_new, executor=self._threads(), force=self.mode != "auto"
         )
         return ("thread" if sharded else "serial"), n_chunks
 
     # -- lifecycle ------------------------------------------------------
     def close(self) -> None:
-        """Shut down both pools (idempotent); unlinks shared memory."""
+        """Shut the thread pool down (idempotent)."""
         if self._closed:
             return
         self._closed = True
         if self._thread_pool is not None:
             self._thread_pool.shutdown(wait=True)
             self._thread_pool = None
-        if self._proc is not None:
-            self._proc.close()
-            self._proc = None
 
     def __enter__(self) -> "ObserveExecutor":
         return self

@@ -109,7 +109,7 @@ class StabilitySession:
     config:
         The session's dials (:class:`~repro.service.config.SessionConfig`:
         seed, confidence, budget, sampling, executor, max_workers,
-        start_method, kernel, cache_size).  Any field may also be passed
+        kernel, cache_size).  Any field may also be passed
         as a keyword — ``StabilitySession(ds, seed=7, executor="serial")``
         — and overrides ``config``'s value.  A ``seed`` of ``None``
         draws fresh entropy, which :attr:`config` then records.
@@ -135,9 +135,7 @@ class StabilitySession:
             region if region is not None else FullSpace(dataset.n_attributes)
         )
         self._observer = ObserveExecutor(
-            config.executor,
-            max_workers=config.max_workers,
-            start_method=config.start_method,
+            config.executor, max_workers=config.max_workers
         )
         self.default_budget = (
             config.budget if config.budget is not None else DEFAULT_BUDGET
@@ -331,12 +329,10 @@ class StabilitySession:
         )
 
     def close(self) -> None:
-        """Shut down the observe worker pools (idempotent).
+        """Shut down the observe worker pool (idempotent).
 
-        Thread workers join; process workers terminate and their
-        shared-memory segments are unlinked — the server's drain and
-        eviction paths route through here, so no segment outlives its
-        session.
+        Thread workers join — the server's drain and eviction paths
+        route through here, so no worker thread outlives its session.
         """
         self._observer.close()
 
@@ -502,7 +498,7 @@ class StabilitySession:
 
     @property
     def observer(self) -> ObserveExecutor:
-        """The session's observe executor (serial / thread / process)."""
+        """The session's observe executor (serial / thread)."""
         return self._observer
 
     def pool_target(

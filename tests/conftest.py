@@ -31,21 +31,6 @@ def paper_dataset(paper_values) -> Dataset:
     )
 
 
-@pytest.fixture(autouse=True)
-def no_shared_memory_leaks():
-    """Every test must leave the shared-memory registry empty.
-
-    A segment surviving its owning engine would pin RAM in ``/dev/shm``
-    for the life of the machine; the owner-side registry makes the
-    invariant cheap to assert after every single test.
-    """
-    from repro.service.procpool import live_segments
-
-    assert live_segments() == (), "shared memory leaked into this test"
-    yield
-    assert live_segments() == (), "test leaked shared-memory segments"
-
-
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20181218)

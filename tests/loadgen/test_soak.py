@@ -13,7 +13,6 @@ import pytest
 from repro.loadgen import runner
 from repro.loadgen.soak import (
     RSS_GAUGE,
-    SHM_GAUGE,
     SoakReport,
     build_soak_spec,
     main,
@@ -27,13 +26,11 @@ class TestParseExposition:
             "# HELP repro_process_rss_bytes Resident set size.\n"
             "# TYPE repro_process_rss_bytes gauge\n"
             "repro_process_rss_bytes 123456789\n"
-            "repro_shm_segments 0\n"
             'repro_requests_total{op="ping"} 7\n'
             "\n"
         )
         parsed = runner.parse_exposition(text)
         assert parsed[RSS_GAUGE] == 123456789.0
-        assert parsed[SHM_GAUGE] == 0.0
         assert parsed['repro_requests_total{op="ping"}'] == 7.0
 
     def test_scrape_round_trips_against_a_live_server(self):
@@ -45,20 +42,18 @@ class TestParseExposition:
                 handle.metrics_port, host=handle.host
             )
         assert RSS_GAUGE in metrics
-        assert SHM_GAUGE in metrics
 
 
 class TestSoak:
     @pytest.mark.slow
     def test_short_soak_passes_invariants(self):
         """A bounded version of the CI acceptance run: sustained skewed
-        load, then flat-RSS / zero-shm asserted from the live scrape."""
+        load, then flat RSS asserted from the live scrape."""
         report = run_soak(seconds=3.0, connections=32, seed=0)
         assert report.passed, report.failures
         assert report.rounds >= 2  # warmup round is not counted alone
         assert report.requests >= 32 * 12 * 2
         assert report.rss_baseline > 0
-        assert report.shm_segments == 0
         assert report.connections == 32
 
     def test_build_soak_spec_scales_with_connections(self):

@@ -177,7 +177,8 @@ class TestTraceCoverage:
         names = {s["name"] for s in report["stages"]}
         assert "observe.pass" in names
 
-    @pytest.mark.slow
-    def test_process(self, dataset):
-        report = self._coverage(dataset, executor="process", max_workers=2)
+    def test_auto(self, dataset):
+        report = self._coverage(dataset, executor="auto", max_workers=2)
         assert report["coverage"] >= 0.9, report
+        names = {s["name"] for s in report["stages"]}
+        assert "observe.pass" in names

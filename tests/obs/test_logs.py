@@ -79,10 +79,10 @@ class TestConfiguration:
 
     def test_get_logger_children_share_the_configured_root(self):
         stream = _configured(json_lines=True)
-        log_event("worker.rescue", logger=get_logger("procpool"), chunk=3)
+        log_event("session.evict", logger=get_logger("registry"), dataset="a")
         payload = json.loads(stream.getvalue())
-        assert payload["logger"] == f"{LOGGER_NAME}.procpool"
-        assert payload["event"] == "worker.rescue"
+        assert payload["logger"] == f"{LOGGER_NAME}.registry"
+        assert payload["event"] == "session.evict"
 
 
 def test_event_vocabulary_is_stable():
@@ -91,5 +91,5 @@ def test_event_vocabulary_is_stable():
     assert set(EVENTS) == {
         "pool.grow", "budget.exhausted", "checkpoint.save",
         "session.restore", "session.evict", "server.drain",
-        "worker.rescue", "slow_query", "diag.dump",
+        "slow_query", "diag.dump",
     }

@@ -72,11 +72,9 @@ class TestResourceGauges:
         )
         values = registry.collect()
         assert set(values) == {
-            "repro_process_rss_bytes", "repro_shm_segments",
-            "repro_pool_bytes", "repro_cache_bytes",
+            "repro_process_rss_bytes", "repro_pool_bytes", "repro_cache_bytes",
         }
         assert values["repro_process_rss_bytes"] > 0
-        assert values["repro_shm_segments"] == 0
         assert values["repro_pool_bytes"] == 123
         assert values["repro_cache_bytes"] == 456
         assert lint(registry.render_text()) == []

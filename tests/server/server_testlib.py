@@ -35,7 +35,7 @@ def running_server(
 
     ``datasets`` maps extra names to datasets; ``dataset`` is always
     registered as ``"default"``.  ``registry_fields`` override the
-    registry's session parameters (e.g. ``executor="process"``).  The
+    registry's session parameters (e.g. ``executor="thread"``).  The
     server is drained on exit.
     """
     registry = SessionRegistry(

@@ -193,7 +193,7 @@ class TestGaugeReRegistration:
         text = metrics.render_text()
         assert lint(text) == [], lint(text)
         for gauge in ("repro_process_rss_bytes", "repro_pool_bytes",
-                      "repro_shm_segments", "repro_cache_bytes"):
+                      "repro_cache_bytes"):
             samples = [
                 line for line in text.splitlines()
                 if line.startswith(f"{gauge} ")

@@ -1,13 +1,12 @@
 """Off-loop observe: reads stay responsive while a cold pool grows.
 
-The server claim behind ``executor="process"`` (and the dedicated
-write-dispatch thread pool): a long cold observe on one dataset must
-not freeze the event loop or starve warm reads on another dataset.
-These tests drive a real TCP server with one deliberately slow cold
-write in flight and assert that concurrent warm reads (a different
-dataset) and control ops keep completing *during* the write — plus
-that the drain path tears the worker processes down and unlinks every
-shared-memory segment.
+The server claim behind the dedicated write-dispatch thread pool: a
+long cold observe on one dataset must not freeze the event loop or
+starve warm reads on another dataset.  These tests drive a real TCP
+server with one deliberately slow cold write in flight and assert that
+concurrent warm reads (a different dataset) and control ops keep
+completing *during* the write — plus that the drain path shuts the
+sessions' observe worker threads down.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ import time
 import pytest
 
 from repro.server import ServeClient
-from repro.service.procpool import live_segments
 from server_testlib import make_dataset, running_server
 
 #: Big enough that the cold observe takes a macroscopic slice of time
@@ -38,7 +36,7 @@ def _cold_write(n: int = 2_600) -> dict:
     }
 
 
-@pytest.mark.parametrize("executor", ["thread", "process"])
+@pytest.mark.parametrize("executor", ["serial", "thread"])
 def test_reads_interleave_with_cold_observe(executor):
     cold = make_dataset(n=2_600, seed=1)
     warm = make_dataset(n=150, seed=2)
@@ -85,15 +83,22 @@ def test_reads_interleave_with_cold_observe(executor):
                 f"only {reads_during_write} reads completed during the "
                 f"cold observe — the loop blocked on the write"
             )
-    assert live_segments() == ()
+
+
+def _observe_threads() -> set[threading.Thread]:
+    return {
+        thread for thread in threading.enumerate()
+        if thread.name.startswith("repro-observe")
+    }
 
 
 def test_drain_shuts_worker_pools_down(tmp_path):
     dataset = make_dataset(n=2_600, seed=3)
+    before = _observe_threads()
     with running_server(
         dataset,
         state_dir=tmp_path,
-        registry_fields={"executor": "process", "max_workers": 2},
+        registry_fields={"executor": "thread", "max_workers": 2},
     ) as handle:
         with ServeClient(host=handle.host, port=handle.port) as client:
             response = client.request(
@@ -103,10 +108,14 @@ def test_drain_shuts_worker_pools_down(tmp_path):
                 }
             )
             assert response["ok"] is True
-        # The session grew its pool out-of-process: segments are live.
-        assert len(live_segments()) >= 1
+        # The session grew its pool on its thread pool: workers are live.
+        assert _observe_threads() - before
+        # Holding the session keeps its pool from being garbage
+        # collected, so only the drain's close() can end the workers.
+        session = handle.server.registry._active["default"].session
         report = handle.stop()
-    # Graceful drain checkpointed the dirty session AND released the
-    # process pool + shared memory (the acceptance-criteria invariant).
+    # Graceful drain checkpointed the dirty session AND joined the
+    # session's observe worker threads.
     assert [entry["dataset"] for entry in report] == ["default"]
-    assert live_segments() == ()
+    assert not _observe_threads() - before
+    assert session.observer.mode == "thread"

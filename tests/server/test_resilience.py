@@ -195,6 +195,37 @@ class TestCooperativeCancellation:
             (r.stability, tuple(sorted(r.top_k_set))) for r in baseline
         ]
 
+    @pytest.mark.parametrize("executor", ["thread", "auto"])
+    def test_sharded_cancel_resume_is_byte_identical(self, executor):
+        # Two workers make chunk groups of 4: the 6-chunk pass runs one
+        # sharded group, trips between groups, and the retry folds the
+        # rest in plan order — the same tally a serial session builds.
+        # n=3_000 clears the auto threshold, so auto shards too.
+        dataset = make_dataset(3_000)
+        with StabilitySession(dataset, seed=7, executor="serial") as serial:
+            baseline = self._query(serial)
+            [expected] = serial.stats()["configs"].values()
+        session = StabilitySession(
+            dataset, seed=7, executor=executor, max_workers=2
+        )
+        with session:
+            trip = _TripAfter(1)
+            with deadline_scope(trip):
+                with pytest.raises(DeadlineExceededError, match="stay pooled"):
+                    self._query(session)
+            assert session.observer.last_pass is None  # pass never finished
+            [config] = session.stats()["configs"].values()
+            assert 0 < config["total_samples"] < self.BUDGET
+            resumed = self._query(session)
+            assert session.observer.last_pass["executor"] == "thread"
+            [config] = session.stats()["configs"].values()
+        assert config == expected
+        assert [
+            (r.stability, r.ranking.order, r.sample_count) for r in resumed
+        ] == [
+            (r.stability, r.ranking.order, r.sample_count) for r in baseline
+        ]
+
     def test_small_pass_skips_grouping(self):
         session = StabilitySession(make_dataset(40), seed=7, executor="serial")
         with session:

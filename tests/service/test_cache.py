@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
-from repro import Dataset
+from repro import Dataset, StabilitySession
 from repro.service.cache import (
     MISS,
     ResultCache,
     dataset_fingerprint,
     make_key,
 )
+from repro.service.parallel import EXECUTOR_MODES
 
 
 class TestFingerprint:
@@ -105,6 +106,41 @@ class TestRefreshWithNaN:
     def test_accepts_plain_arrays(self, rng_factory):
         values = rng_factory(3).uniform(size=(5, 2))
         assert dataset_fingerprint(values) == dataset_fingerprint(Dataset(values))
+
+
+class TestRefreshAnswersFromMutatedValues:
+    """After an in-place mutation, refresh() must leave no executor
+    scoring the old values: the next answer equals, byte for byte, a
+    fresh serial session's over the mutated matrix."""
+
+    QUERY = dict(kind="topk_set", k=3, backend="randomized", budget=2_000)
+
+    def _answers(self, session):
+        return [
+            (r.ranking.order, r.top_k_set, r.stability, r.confidence_error,
+             r.sample_count)
+            for r in session.top_stable(3, **self.QUERY)
+        ]
+
+    @pytest.mark.parametrize("executor", EXECUTOR_MODES)
+    def test_refresh_answers_like_a_fresh_session(self, executor):
+        ds = Dataset(np.random.default_rng(5).uniform(size=(3_000, 3)))
+        with StabilitySession(
+            ds, seed=5, executor=executor, max_workers=2
+        ) as session:
+            before = self._answers(session)
+            values = session.dataset.values
+            values.setflags(write=True)
+            values[:] = values[::-1].copy()  # item i becomes 2999 - i
+            assert session.refresh() is True
+            got = self._answers(session)
+            mutated = values.copy()
+        with StabilitySession(
+            Dataset(mutated), seed=5, executor="serial"
+        ) as fresh:
+            expected = self._answers(fresh)
+        assert got == expected
+        assert got != before
 
 
 class TestMakeKey:

@@ -21,7 +21,7 @@ BAD_DIALS = [
     ({"executor": "thread", "max_workers": 0},
      ["--executor", "thread", "--workers", "0"]),
     ({"max_workers": -4}, ["--workers", "-4"]),
-    ({"start_method": "teleport"}, None),
+    ({"executor": "process"}, ["--executor", "process"]),
     ({"kernel": "nonsense"}, ["--kernel", "nonsense"]),
     ({"executor": "sometimes"}, ["--executor", "sometimes"]),
     ({"sampling": "psychic"}, ["--sampling", "psychic"]),
@@ -126,13 +126,11 @@ def _answers(session):
 def test_restore_takes_durable_fields_from_snapshot(dataset, tmp_path):
     a = SessionConfig(
         seed=11, confidence=0.9, budget=700, sampling="qmc",
-        executor="serial", max_workers=1, start_method="fork",
-        kernel="numpy", cache_size=64,
+        executor="serial", max_workers=1, kernel="numpy", cache_size=64,
     )
     b = SessionConfig(
         seed=99, confidence=0.99, budget="ci:0.05", sampling="mc",
-        executor="thread", max_workers=2, start_method="spawn",
-        kernel="auto", cache_size=16,
+        executor="thread", max_workers=2, kernel="auto", cache_size=16,
     )
     assert all(getattr(a, name) != getattr(b, name) for name in DURABLE + RUNTIME)
     path = tmp_path / "a.snap"

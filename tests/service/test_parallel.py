@@ -2,27 +2,30 @@
 
 The service's shard-parallel observe must be an *optimisation*, not an
 approximation: given the same seed, the tally after a parallel pass is
-byte-identical to the serial tally — counts, totals, and first-seen
-tie-break order — across ranking kinds, chunk sizes (including the
-``REPRO_SCORING_CHUNK`` environment override), and split passes.
+byte-identical to the serial tally — counts, totals, first-seen
+tie-break order, and the rng stream — across ranking kinds, sampling
+schemes, chunk sizes (including the ``REPRO_SCORING_CHUNK`` environment
+override), split passes, and the session's :class:`ObserveExecutor`.
 """
 
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from repro import Dataset, parallel_observe
+from repro import Dataset, StabilitySession, parallel_observe
 from repro.core.randomized import GetNextRandomized
 from repro.engine import kernel
 from repro.service.parallel import (
+    ObserveExecutor,
     default_workers,
     resolve_executor_mode,
     should_parallelize,
 )
 
 
-def _pair(seed, n=300, d=3, *, kind="full", k=None, scoring_chunk=None):
+def _pair(seed, n=300, d=3, *, kind="full", k=None, scoring_chunk=None, **kw):
     dataset = Dataset(np.random.default_rng(seed).uniform(size=(n, d)))
     make = lambda: GetNextRandomized(  # noqa: E731
         dataset,
@@ -30,6 +33,7 @@ def _pair(seed, n=300, d=3, *, kind="full", k=None, scoring_chunk=None):
         k=k,
         rng=np.random.default_rng([seed, 7]),
         scoring_chunk=scoring_chunk,
+        **kw,
     )
     return make(), make()
 
@@ -38,6 +42,7 @@ def _assert_identical(serial, sharded):
     assert sharded.total_samples == serial.total_samples
     assert sharded.tally.counts == serial.tally.counts
     assert sharded.tally._first_seen == serial.tally._first_seen
+    assert sharded.rng.bit_generator.state == serial.rng.bit_generator.state
 
 
 class TestParallelObserveEquality:
@@ -182,13 +187,191 @@ class TestResolveExecutorMode:
 
     def test_mid_size_threads(self):
         assert resolve_executor_mode(10_000, 8, 4) == "thread"
+        assert resolve_executor_mode(100_000, 8, 4) == "thread"
 
-    def test_large_narrow_keys_process(self):
-        assert resolve_executor_mode(100_000, 8, 4, key_bytes=40) == "process"
 
-    def test_wide_keys_stay_on_threads(self):
-        # Full-ranking keys at n=100K are ~400KB per sample: IPC would
-        # drown the process win, so auto keeps them on threads.
-        assert (
-            resolve_executor_mode(100_000, 8, 4, key_bytes=400_000) == "thread"
+class TestObserveExecutor:
+    def test_modes_agree_byte_for_byte(self):
+        ops = {}
+        for mode in ("serial", "thread"):
+            op, _ = _pair(20, n=3_000, kind="topk_set", k=4, scoring_chunk=64)
+            with ObserveExecutor(mode, max_workers=2) as executor:
+                assert executor.observe(op, 500) == mode
+            ops[mode] = op
+        _assert_identical(ops["serial"], ops["thread"])
+
+    def test_auto_picks_serial_on_tiny_dataset(self):
+        op, _ = _pair(21, n=200)
+        with ObserveExecutor("auto", max_workers=2) as executor:
+            assert executor.observe(op, 100) == "serial"
+
+    @pytest.mark.parametrize("mode", ["thread", "auto"])
+    @pytest.mark.parametrize(
+        "kind,k,prune",
+        [
+            ("full", None, False),
+            ("topk_ranked", 4, False),
+            ("topk_set", 4, False),
+            ("topk_set", 3, True),
+        ],
+    )
+    def test_sharded_modes_match_serial(self, mode, kind, k, prune):
+        # n=3_000 clears PARALLEL_MIN_ITEMS and 500 samples make 8
+        # chunks, so auto resolves to the thread pool at two workers.
+        serial, sharded = _pair(
+            23, n=3_000, kind=kind, k=k, scoring_chunk=64, prune_topk=prune
         )
+        serial.observe(500)
+        with ObserveExecutor(mode, max_workers=2) as executor:
+            assert executor.observe(sharded, 500) == "thread"
+        assert (sharded._candidates is None) == (serial._candidates is None)
+        _assert_identical(serial, sharded)
+
+    def test_split_passes_match_one_pass(self):
+        # Budgets are multiples of the chunk, so the split passes share
+        # the one-pass chunk boundaries.
+        serial, sharded = _pair(24, n=3_000, scoring_chunk=50)
+        serial.observe(400)
+        with ObserveExecutor("thread", max_workers=2) as executor:
+            executor.observe(sharded, 150)
+            executor.observe(sharded, 250)
+        _assert_identical(serial, sharded)
+
+    def test_get_next_cursor_matches_serial(self):
+        serial, sharded = _pair(
+            25, n=3_000, kind="topk_set", k=3, scoring_chunk=64
+        )
+        a = serial.get_next(budget=400)
+        serial.observe(200)
+        with ObserveExecutor("thread", max_workers=2) as executor:
+            executor.observe(sharded, 400)
+            b = sharded.next_from_pool()
+            executor.observe(sharded, 200)
+        assert a.top_k_set == b.top_k_set
+        assert a.stability == b.stability
+        _assert_identical(serial, sharded)
+
+    @pytest.mark.parametrize("mode", ["serial", "thread"])
+    def test_last_pass_records_the_backend_that_ran(self, mode):
+        op, _ = _pair(26, n=3_000, scoring_chunk=64)
+        with ObserveExecutor(mode, max_workers=2) as executor:
+            assert executor.last_pass is None
+            executor.observe(op, 300)
+            assert executor.last_pass["executor"] == mode
+            assert executor.last_pass["n"] == 300
+            assert executor.last_pass["kernel"] == op.kernel_backend.name
+            if mode == "thread":
+                assert executor.last_pass["chunks"] == len(op.plan_chunks(300))
+
+    @pytest.mark.parametrize("mode", ["serial", "thread", "auto"])
+    def test_zero_samples_run_nothing(self, mode):
+        op, _ = _pair(27, n=3_000)
+        with ObserveExecutor(mode, max_workers=2) as executor:
+            assert executor.observe(op, 0) == "serial"
+            assert executor._thread_pool is None  # no pool spun up
+            assert executor.last_pass is None
+        assert op.total_samples == 0
+
+    def test_close_is_idempotent_and_joins_workers(self):
+        op, _ = _pair(28, n=3_000, scoring_chunk=64)
+        before = set(threading.enumerate())
+        executor = ObserveExecutor("thread", max_workers=2)
+        executor.observe(op, 300)
+        workers = {
+            t for t in set(threading.enumerate()) - before
+            if t.name.startswith("repro-observe")
+        }
+        assert workers
+        executor.close()
+        executor.close()
+        assert not any(t.is_alive() for t in workers)
+        with pytest.raises(RuntimeError):
+            executor.observe(op, 100)
+
+    @pytest.mark.parametrize("mode", ["process", "sometimes"])
+    def test_rejects_unknown_modes(self, mode):
+        with pytest.raises(ValueError, match="executor mode"):
+            ObserveExecutor(mode)
+
+
+class TestQuasiSamplingParity:
+    """QMC streams sample on the caller in plan order, so the sharded
+    path stays byte-identical to serial — same contract as mc."""
+
+    @pytest.mark.parametrize("kind,k", [("full", None), ("topk_set", 4)])
+    def test_qmc_thread_serial(self, kind, k):
+        serial, threaded = _pair(
+            11, n=1_500, kind=kind, k=k, scoring_chunk=64, sampling="qmc"
+        )
+        serial.observe(500)
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            assert parallel_observe(threaded, 500, executor=pool, force=True) > 0
+        _assert_identical(serial, threaded)
+        assert serial._qmc.index == threaded._qmc.index
+
+
+class TestSessionIntegration:
+    def test_session_thread_executor_matches_serial(self):
+        dataset = Dataset(np.random.default_rng(30).uniform(size=(2_500, 3)))
+        query = dict(kind="topk_set", k=4, backend="randomized", budget=600)
+        with StabilitySession(dataset, seed=3, executor="serial") as serial:
+            expected = serial.top_stable(3, **query)
+            expected_next = serial.get_next(**query)
+        with StabilitySession(
+            dataset, seed=3, executor="thread", max_workers=2
+        ) as session:
+            assert session.observer.mode == "thread"
+            got = session.top_stable(3, **query)
+            got_next = session.get_next(**query)
+        assert [r.stability for r in got] == [r.stability for r in expected]
+        assert [r.ranking.order for r in got] == [
+            r.ranking.order for r in expected
+        ]
+        assert got_next.stability == expected_next.stability
+        assert got_next.ranking.order == expected_next.ranking.order
+
+    @pytest.mark.parametrize(
+        "grown,restored",
+        [("serial", "thread"), ("thread", "serial"), ("thread", "thread")],
+    )
+    def test_snapshot_restore_across_executors(self, grown, restored, tmp_path):
+        # A pool grown on one executor and restored onto another must
+        # continue exactly like the uninterrupted session.
+        dataset = Dataset(np.random.default_rng(32).uniform(size=(2_500, 3)))
+        query = dict(kind="topk_ranked", k=4, backend="randomized", budget=500)
+        path = tmp_path / "grown.snap"
+        with StabilitySession(
+            dataset, seed=5, executor=grown, max_workers=2
+        ) as session:
+            session.get_next(**query)
+            session.save(path)
+            expected = session.get_next(**{**query, "budget": 900})
+        with StabilitySession.restore(
+            path, dataset, executor=restored, max_workers=2
+        ) as session:
+            assert session.observer.mode == restored
+            got = session.get_next(**{**query, "budget": 900})
+        assert got.stability == expected.stability
+        assert got.ranking.order == expected.ranking.order
+        assert got.sample_count == expected.sample_count
+
+    def test_session_close_joins_observe_threads(self):
+        dataset = Dataset(np.random.default_rng(31).uniform(size=(2_500, 3)))
+        before = set(threading.enumerate())
+        session = StabilitySession(
+            dataset, seed=4, executor="thread", max_workers=2
+        )
+        session.observe(400, kind="topk_set", k=4, backend="randomized")
+        workers = {
+            t for t in set(threading.enumerate()) - before
+            if t.name.startswith("repro-observe")
+        }
+        assert workers
+        session.close()
+        assert not any(t.is_alive() for t in workers)
+
+    @pytest.mark.parametrize("mode", ["serial", "thread"])
+    def test_stats_reports_executor_mode(self, mode):
+        dataset = Dataset(np.random.default_rng(33).uniform(size=(300, 3)))
+        with StabilitySession(dataset, seed=6, executor=mode) as session:
+            assert session.stats()["executor"] == mode
