@@ -4,22 +4,23 @@
 executes requests against a shared :class:`~repro.server.registry.
 SessionRegistry`.  Design points, in the order they matter:
 
-**Concurrency.** Read requests run on the event loop's default
-executor; write-classified requests (pool growth, cursor advances,
-checkpoints) run on a small dedicated thread pool, so a burst of cold
-observes can never occupy every executor thread and starve warm reads
-of a slot.  Per-session read/write locks let warm idempotent queries
-interleave while pool growth serializes (see
-:mod:`repro.server.registry`).  Responses on one connection are written
-in request order, so pipelining clients need no correlation ids (though
+**Concurrency.** Cache hits and session-less control ops are answered
+by the connection's read loop (:meth:`StabilityServer._answer_now`).
+Other reads run on the event loop's default executor under a shared
+per-session read lock; write-classified requests (pool growth, cursor
+advances, checkpoints) run exclusively on a small dedicated thread
+pool, so a burst of cold observes can never occupy every executor
+thread and starve reads of a slot (see :mod:`repro.server.registry`).
+Responses on one connection are written in request order, the finished
+ones together, so pipelining clients need no correlation ids (though
 ``"id"`` echoing is supported).
 
 **Backpressure, not buffering.** Each connection stops *reading* once
-``max_pending_per_connection`` requests are in flight — TCP's flow
-control then pushes back on the client.  A global ``max_inflight``
-admission cap protects the executor: requests beyond it are answered
-immediately with ``{"error": {"code": "busy"}}`` (load shedding) rather
-than queued without bound.
+``max_pending_per_connection`` requests are in flight or its bounded
+response queue is full — TCP's flow control then pushes back on the
+client.  A global ``max_inflight`` admission cap protects the executor:
+requests beyond it are answered immediately with ``{"error": {"code":
+"busy"}}`` (load shedding) rather than queued without bound.
 
 **Graceful drain.** SIGTERM (or the ``shutdown`` op, or
 :meth:`StabilityServer.request_shutdown`) stops accepting connections,
@@ -128,7 +129,7 @@ class ServerConfig:
 
     def __post_init__(self):
         # 0 is not a "disabled" sentinel for the admission knobs — a
-        # zero-wide semaphore would silently hang every connection.
+        # zero-wide window would silently hang every connection.
         if self.max_inflight < 1:
             raise ValueError(
                 f"max_inflight must be >= 1, got {self.max_inflight}"
@@ -492,7 +493,7 @@ class StabilityServer:
             maxsize=max(2 * self.config.max_pending_per_connection, 8)
         )
         sender = asyncio.create_task(self._send_loop(queue, writer))
-        pending = asyncio.Semaphore(self.config.max_pending_per_connection)
+        running: set[asyncio.Task] = set()  # its requests still executing
         try:
             while not self._draining:
                 try:
@@ -563,9 +564,9 @@ class StabilityServer:
                     break
                 # Per-connection backpressure: stop reading this socket
                 # until one of its in-flight requests completes.
-                await pending.acquire()
+                while len(running) >= self.config.max_pending_per_connection:
+                    await asyncio.wait(running, return_when=asyncio.FIRST_COMPLETED)
                 if self._draining:
-                    pending.release()
                     if deadline is not None and deadline.expired():
                         # The budget ran out before the drain refusal
                         # did: answer the code the client can act on —
@@ -596,7 +597,6 @@ class StabilityServer:
                     )
                     break
                 if self._inflight >= self.config.max_inflight:
-                    pending.release()
                     self.metrics.shed()
                     if not await self._enqueue(
                         queue,
@@ -610,14 +610,17 @@ class StabilityServer:
                     ):
                         break
                     continue
+                response = self._answer_now(payload, deadline, bool(running))
+                if response is not None:
+                    if not await self._enqueue(queue, sender, response):
+                        break
+                    continue
                 self._inflight += 1
                 task = asyncio.create_task(self._process(payload, deadline))
                 task.add_done_callback(
-                    lambda _t, sem=pending: (
-                        sem.release(),
-                        self._request_done(),
-                    )
+                    lambda _t: (self._request_done(), running.discard(_t))
                 )
+                running.add(task)
                 if not await self._enqueue(queue, sender, task):
                     break
         except (ConnectionError, asyncio.CancelledError):
@@ -654,11 +657,14 @@ class StabilityServer:
         block — but once the sender exits (client disconnected while
         responses were still queued) nothing will ever drain it, and a
         blocked put would park the read loop forever, leaking the
-        handler.  Racing the put against the sender's own completion
-        turns that into a clean connection teardown.
+        handler.  Racing a blocking put against the sender's own
+        completion turns that into a clean connection teardown.
         """
         if sender.done():
             return False
+        if not queue.full():
+            queue.put_nowait(item)
+            return True
         put = asyncio.ensure_future(queue.put(item))
         done, _ = await asyncio.wait(
             {put, sender}, return_when=asyncio.FIRST_COMPLETED
@@ -671,48 +677,102 @@ class StabilityServer:
     async def _send_loop(
         self, queue: asyncio.Queue, writer: asyncio.StreamWriter
     ) -> None:
-        """Write responses in request order (pipelining stays ordered)."""
-        while True:
-            item = await queue.get()
-            if item is None:
-                return
-            if isinstance(item, dict):
-                response = item
-            else:
-                try:
-                    response = await item
-                except Exception as exc:  # a _process bug, not a request bug
-                    response = protocol.error_payload(
-                        *protocol.classify_exception(exc)
-                    )
-            data = protocol.encode_response(response).encode() + b"\n"
-            self.metrics.add_bytes(sent=len(data))
-            try:
-                writer.write(data)
-                await writer.drain()
-            except ConnectionError:
-                return
+        """Write responses in request order (pipelining stays ordered);
+        finished ones go out together, flushed before any wait."""
+        ready: list[bytes] = []
+        try:
+            while True:
+                if queue.empty():
+                    await self._flush(writer, ready)
+                item = await queue.get()
+                if item is None:
+                    return await self._flush(writer, ready)
+                if isinstance(item, dict):
+                    response = item
+                else:
+                    if not item.done():
+                        await self._flush(writer, ready)
+                    try:
+                        response = await item
+                    except Exception as exc:  # a _process bug, not a request bug
+                        response = protocol.error_payload(
+                            *protocol.classify_exception(exc)
+                        )
+                data = protocol.encode_response(response).encode() + b"\n"
+                self.metrics.add_bytes(sent=len(data))
+                ready.append(data)
+        except ConnectionError:
+            return
+
+    @staticmethod
+    async def _flush(writer: asyncio.StreamWriter, ready: list[bytes]) -> None:
+        if ready:
+            writer.write(b"".join(ready))
+            ready.clear()
+            await writer.drain()
 
     # ------------------------------------------------------------------
     # Request execution
     # ------------------------------------------------------------------
     async def _process(self, payload: dict, deadline=None) -> dict:
-        op = payload.get("op", "<invalid>")
         start = self._loop.time()
         try:
             response = await self._execute(payload, deadline)
-        except protocol.RequestError as exc:
-            response = protocol.error_payload(
-                exc.code,
-                exc.message,
-                request_id=payload.get("id"),
-                retry_after_ms=exc.retry_after_ms,
-            )
         except Exception as exc:
-            response = protocol.error_payload(
-                *protocol.classify_exception(exc),
-                request_id=payload.get("id"),
+            response = self._error_response(payload, exc)
+        return self._account(payload, start, response)
+
+    def _answer_now(self, payload: dict, deadline, overtakes: bool) -> dict | None:
+        """Answer on the event loop what needs no wait; ``None`` if not.
+
+        Session-less control ops qualify, and cache hits of an active
+        session no writer holds or awaits: this synchronous call then
+        cannot overlap a writer, as if it held the read lock.  A hit
+        that ``overtakes`` an earlier request of its connection still
+        executing (a pipelined write whose task has not taken the lock
+        yet, say), a traced one (its trace shows the lock wait) and an
+        expired deadline keep the executor path and its answers.
+        """
+        op = payload["op"]
+        start = self._loop.time()
+        session = dataset = managed = None
+        if op in ("top_stable", "stability_of"):
+            if overtakes or payload.get("trace") or (
+                deadline is not None and deadline.expired()
+            ):
+                return None
+            managed = self.registry.active(payload.get("dataset"))
+            if (managed is None or managed.lock.writer_pending
+                    or self._checkpoint_due(managed)
+                    or protocol.needs_write(managed.session, payload)
+                    or not protocol.answer_is_cached(managed.session, payload)):
+                return None
+            session, dataset = managed.session, managed.dataset
+        elif op not in ("ping", "hello", "diag", "profile"):
+            return None
+        try:
+            handled = protocol.dispatch(
+                session, dataset, payload, hello_extra=self._hello_extra,
+                diag_extra=self._diag_extra, deadline=deadline,
             )
+        except Exception as exc:  # a dispatch bug, not a request bug
+            response = self._error_response(payload, exc)
+        else:
+            response = handled.response
+            if handled.mutated:  # it failed, or missed and filled the cache
+                managed.mark_dirty()
+        return self._account(payload, start, response)
+
+    @staticmethod
+    def _error_response(payload: dict, exc: Exception) -> dict:
+        retry = getattr(exc, "retry_after_ms", None)  # RequestError's hint
+        return protocol.error_payload(*protocol.classify_exception(exc),
+                                      request_id=payload.get("id"),
+                                      retry_after_ms=retry)
+
+    def _account(self, payload: dict, start: float, response: dict) -> dict:
+        """Metrics, SLO attribution and the slow-query log of one answer."""
+        op = payload.get("op", "<invalid>")
         error = response.get("error") if isinstance(response, dict) else None
         elapsed = self._loop.time() - start
         dataset = None
@@ -753,23 +813,6 @@ class StabilityServer:
 
     async def _execute(self, payload: dict, deadline=None) -> dict:
         op = payload["op"]
-        # Session-less control ops share the stdio dispatcher directly.
-        if op == "ping":
-            return protocol.dispatch(
-                None, None, payload, deadline=deadline
-            ).response
-        if op == "hello":
-            handled = protocol.dispatch(
-                None, None, payload, hello_extra=self._hello_extra(),
-                deadline=deadline,
-            )
-            return handled.response
-        if op in ("diag", "profile"):
-            handled = protocol.dispatch(
-                None, None, payload, diag_extra=self._diag_extra,
-                deadline=deadline,
-            )
-            return handled.response
         try:
             managed = await self.registry.get(payload.get("dataset"))
         except KeyError as exc:
@@ -956,16 +999,15 @@ class StabilityServer:
             ),
         )
 
-    async def _maybe_auto_checkpoint(self, managed) -> None:
+    def _checkpoint_due(self, managed) -> bool:
         every = self.config.checkpoint_every
-        if (
-            every <= 0
-            or managed.state_path is None
-            or managed.dirty < every
-        ):
+        return 0 < every <= managed.dirty and managed.state_path is not None
+
+    async def _maybe_auto_checkpoint(self, managed) -> None:
+        if not self._checkpoint_due(managed):
             return
         async with managed.lock.write():
-            if managed.dirty < every:
+            if not self._checkpoint_due(managed):
                 return  # another writer checkpointed meanwhile
             try:
                 # Default executor, not the write pool: while this

@@ -632,15 +632,21 @@ def needs_write(session, payload: dict) -> bool:
         # the process-global recorder and profiler.
         return False
     try:
-        return not session.query_is_warm_read(
-            op,
-            kind=payload.get("kind", "full"),
-            k=payload.get("k"),
-            backend=payload.get("backend", "auto"),
-            ranking=payload.get("ranking"),
-            m=payload.get("m", 1),
-            budget=payload.get("budget"),
-            min_samples=payload.get("min_samples"),
-        )
+        return not session.query_is_warm_read(op, **_query_fields(payload))
     except Exception:
         return True
+
+
+def answer_is_cached(session, payload: dict) -> bool:
+    """The session's non-counting cache probe; bad payloads miss."""
+    try:
+        return session.answer_is_cached(payload["op"], **_query_fields(payload))
+    except Exception:
+        return False
+
+
+def _query_fields(payload: dict) -> dict:
+    """The session-side query keywords of one wire request."""
+    defaults = {"kind": "full", "k": None, "backend": "auto", "ranking": None,
+                "m": 1, "budget": None, "min_samples": None}
+    return {name: payload.get(name, value) for name, value in defaults.items()}

@@ -88,15 +88,16 @@ class AsyncRWLock:
     @property
     def idle(self) -> bool:
         """Nobody holds or awaits the lock (safe-to-evict probe)."""
-        return (
-            self._readers == 0
-            and not self._writer
-            and self._writers_waiting == 0
-        )
+        return self._readers == 0 and not self.writer_pending
+
+    @property
+    def writer_pending(self) -> bool:
+        """A writer holds or awaits the lock (only the loop changes it)."""
+        return self._writer or self._writers_waiting > 0
 
     async def acquire_read(self) -> None:
         async with self._cond:
-            while self._writer or self._writers_waiting:
+            while self.writer_pending:
                 await self._cond.wait()
             self._readers += 1
 
@@ -305,6 +306,14 @@ class SessionRegistry:
         managed.last_used = self._use_counter
         return managed
 
+    def active(self, name: str | None = None) -> ManagedSession | None:
+        """The active session for ``name``, LRU-touched, or ``None``
+        (never activates; the mutex guards no lookup, so no await)."""
+        if name is None:
+            name = self._default_name
+        managed = self._active.get(name) if isinstance(name, str) else None
+        return self._touch(managed) if managed is not None else None
+
     async def get(self, name: str | None = None) -> ManagedSession:
         """The managed session for ``name`` (activate/restore lazily).
 
@@ -316,18 +325,16 @@ class SessionRegistry:
             name = self._default_name
         if name not in self._datasets:
             raise KeyError(name)
-        loop = asyncio.get_running_loop()
-        async with self._mutex:
-            managed = self._active.get(name)
-            if managed is not None:
-                return self._touch(managed)
+        managed = self.active(name)
+        if managed is not None:
+            return managed
         # Cold: serialize activation per dataset, off the global mutex.
+        loop = asyncio.get_running_loop()
         opening = self._opening.setdefault(name, asyncio.Lock())
         async with opening:
-            async with self._mutex:
-                managed = self._active.get(name)
-                if managed is not None:  # raced another activator
-                    return self._touch(managed)
+            managed = self.active(name)
+            if managed is not None:  # raced another activator
+                return managed
             managed = await loop.run_in_executor(None, self._open, name)
             async with self._mutex:
                 self._active[name] = managed

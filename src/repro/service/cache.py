@@ -157,6 +157,15 @@ class ResultCache:
             self.stats.misses += 1
             return MISS
 
+    def touch(self, key: tuple) -> bool:
+        """Whether ``key`` is cached, marking it most recently used;
+        counts nothing (a probe ahead of the :meth:`get` that counts)."""
+        with self._lock:
+            if key in self._entries:
+                self._entries.move_to_end(key)
+                return True
+            return False
+
     def put(self, key: tuple, value) -> None:
         """Insert (or refresh) one entry, evicting LRU entries if full."""
         if self.maxsize <= 0:

@@ -465,6 +465,52 @@ class StabilitySession:
             )
         return raw.total_samples >= int(target)
 
+    def answer_is_cached(self, op: str, *, kind: RankingKind = "full",
+                         k: int | None = None, backend: str = "auto",
+                         ranking=None, m: int = 1, budget=None,
+                         min_samples: int | None = None) -> bool:
+        """Whether the result cache holds this warm read's answer now.
+
+        Counts and materialises nothing.  A found entry becomes the most
+        recently used, so no concurrent ``put`` evicts it before the
+        query call that follows reads it (and counts the hit).
+        """
+        if op == "stability_of":
+            ranking = self._verify_ids(kind, ranking)
+        elif op != "top_stable":
+            return False
+        backend = self.query_backend(op, kind, backend, ranking)
+        state = self._states.get((kind, k, self._resolve(kind, backend)))
+        if state is None:
+            return False
+        target = self.pool_target(op, m=m, budget=budget, min_samples=min_samples)
+        query = {"m": m} if op == "top_stable" else {"ids": ranking}
+        return self.cache.touch(self._result_key(op, state, kind, k, target, **query))
+
+    def _result_key(self, op: str, state: _ConfigState, kind, k, target,
+                    **query) -> tuple:
+        """The result-cache key of one idempotent query.
+
+        It carries the pool size the answer is computed from (a pool
+        only grows), so a session whose pool outgrew the target neither
+        serves nor poisons entries of sessions answering from
+        target-sized pools.  A precision target keys the pool as it is.
+        """
+        samples = None
+        if state.is_randomized:
+            samples = state.engine.backend.raw.total_samples
+            if not isinstance(target, PrecisionBudget):
+                samples = max(samples, target)
+        return make_key(self._fingerprint, op, region=self._region_key,
+                        kind=kind, k=k, backend=state.engine.backend_name,
+                        samples=samples, **query)
+
+    @staticmethod
+    def _verify_ids(kind: RankingKind, ranking) -> tuple[int, ...]:
+        """A ``stability_of`` ranking in canonical form (sets sorted)."""
+        ids = tuple(int(i) for i in ranking)
+        return tuple(sorted(ids)) if kind == "topk_set" else ids
+
     # ------------------------------------------------------------------
     # Pool management (randomized configurations)
     # ------------------------------------------------------------------
@@ -635,54 +681,30 @@ class StabilitySession:
         if m < 1:
             raise ValueError(f"m must be >= 1, got {m}")
         state = self._state(kind, k, backend)
-        resolved = state.engine.backend_name
-        ensured = False
         before = (
             state.engine.backend.raw.total_samples
             if state.is_randomized
             else None
         )
+        target = None
         if state.is_randomized:
             target = self.pool_target("top_stable", m=m, budget=budget)
             if isinstance(target, PrecisionBudget):
-                # A precision target's pool size is only known after the
-                # controller runs, so ensure first and key the cache on
-                # the actual pool — idempotent: a satisfied budget grows
-                # nothing, so the repeat keys identically and hits.
+                # Ensure before keying, so the key names the actual
+                # pool — idempotent: a satisfied budget grows nothing,
+                # so the repeat keys identically and hits.
                 self._ensure_pool(state, target)
-                ensured = True
-                samples = state.engine.backend.raw.total_samples
-            else:
-                # The key carries the pool size the answer is computed
-                # from (ensure-to-target never shrinks a pool), so a
-                # session whose pool outgrew the target neither serves
-                # nor poisons entries of sessions answering from
-                # target-sized pools.
-                samples = max(
-                    state.engine.backend.raw.total_samples, target
-                )
-        else:
-            target = samples = None
-        key = make_key(
-            self._fingerprint,
-            "top_stable",
-            region=self._region_key,
-            kind=kind,
-            k=k,
-            backend=resolved,
-            m=m,
-            samples=samples,
-        )
+        key = self._result_key("top_stable", state, kind, k, target, m=m)
         with obs_trace.span("cache.lookup", op="top_stable"):
             cached = self.cache.get(key)
         if cached is not MISS:
             self.last_query_cached = True
             self._finish_cost("top_stable", state, before=before, cached=True,
-                              target=target if state.is_randomized else None)
+                              target=target)
             return self._cut(list(cached), min_stability)
         self.last_query_cached = False
         if state.is_randomized:
-            if not ensured:
+            if not isinstance(target, PrecisionBudget):
                 self._ensure_pool(state, target)
             with obs_trace.span("pool.top", m=m):
                 results = state.engine.backend.top_from_pool(m)
@@ -691,7 +713,7 @@ class StabilitySession:
             results = state.yielded[:m]
         self.cache.put(key, tuple(results))
         self._finish_cost("top_stable", state, before=before, cached=False,
-                          target=target if state.is_randomized else None)
+                          target=target)
         return self._cut(list(results), min_stability)
 
     def stability_of(
@@ -716,34 +738,18 @@ class StabilitySession:
         :meth:`repro.core.randomized.GetNextRandomized.stability_of`)
         — no dedicated top-k pool is sampled.
         """
-        ids = tuple(int(i) for i in ranking)
-        if kind == "topk_set":
-            ids = tuple(sorted(ids))
+        ids = self._verify_ids(kind, ranking)
         backend = self.query_backend("stability_of", kind, backend, ids)
         state = self._state(kind, k, backend)
-        resolved = state.engine.backend_name
         before = (
             state.engine.backend.raw.total_samples
             if state.is_randomized
             else None
         )
+        target = None
         if state.is_randomized:
             target = self.pool_target("stability_of", min_samples=min_samples)
-            samples = max(
-                state.engine.backend.raw.total_samples, target
-            )
-        else:
-            target = samples = None
-        key = make_key(
-            self._fingerprint,
-            "stability_of",
-            region=self._region_key,
-            kind=kind,
-            k=k,
-            backend=resolved,
-            ids=ids,
-            samples=samples,
-        )
+        key = self._result_key("stability_of", state, kind, k, target, ids=ids)
         with obs_trace.span("cache.lookup", op="stability_of"):
             cached = self.cache.get(key)
         if cached is not MISS:

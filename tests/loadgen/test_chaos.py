@@ -15,6 +15,7 @@ import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +26,8 @@ from repro.server import ServeClient
 
 pytestmark = pytest.mark.slow
 
+#: The checkout under test: its own ``src`` serves, whatever the cwd.
+ROOT = Path(__file__).resolve().parents[2]
 
 QUERY = {
     "op": "top_stable", "m": 2, "kind": "topk_set", "k": 3,
@@ -35,7 +38,7 @@ QUERY = {
 def _start_server(csv_path, state_dir):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, ["src", env.get("PYTHONPATH")])
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
     )
     proc = subprocess.Popen(
         [
@@ -43,7 +46,7 @@ def _start_server(csv_path, state_dir):
             "--tcp", "127.0.0.1:0", "--state-dir", str(state_dir),
             "--checkpoint-every", "1", "--seed", "7", "--executor", "serial",
         ],
-        cwd="/root/repo",
+        cwd=ROOT,
         env=env,
         stdout=subprocess.DEVNULL,
         stderr=subprocess.PIPE,

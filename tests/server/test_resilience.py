@@ -714,7 +714,7 @@ class TestServerDeadlines:
             client = ServeClient(host=handle.host, port=handle.port)
             try:
                 # The first request occupies the one pipelining slot;
-                # the second (tiny deadline) parks on the semaphore.
+                # the second (tiny deadline) parks until the slot frees.
                 client.send(dict(COLD_QUERY, budget=40_000))
                 client.send({"op": "ping", "deadline_ms": 1})
                 time.sleep(0.05)

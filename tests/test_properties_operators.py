@@ -1,7 +1,9 @@
 """Property-based tests for the operator substrates (skyline, top-k)."""
 
+from fractions import Fraction
+
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -59,9 +61,13 @@ class TestSkylineProperties:
         assert sky_union <= (sky_a | sky_b)
 
     @given(values=VALUES)
+    @example(values=np.array([[0.9999999999999999, 1.0], [1.0, 1.0]]))
     @settings(max_examples=60, deadline=None)
     def test_max_sum_item_always_in_skyline(self, values):
-        best = int(np.argmax(values.sum(axis=1)))
+        # Exact sums: in float64 a dominated row can round to the sum of
+        # the row dominating it (the pinned example: both sum to 2.0).
+        sums = [sum(map(Fraction, row)) for row in values.tolist()]
+        best = sums.index(max(sums))
         sky = set(skyline(values).tolist())
         # The max-sum item can only be dominated by an item with a larger
         # sum, so some item with the same attribute vector is in the
