@@ -134,7 +134,7 @@ def _parallel_equivalence(n_samples: int) -> float:
     assert sharded.total_samples == serial.total_samples
     assert sharded.tally.counts == serial.tally.counts, "tally counts diverged"
     assert (
-        sharded.tally._first_seen == serial.tally._first_seen
+        list(sharded.tally.counts) == list(serial.tally.counts)
     ), "first-seen order diverged"
     return serial_s / parallel_s if parallel_s > 0 else float("inf")
 

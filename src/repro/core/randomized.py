@@ -551,16 +551,15 @@ class GetNextRandomized:
         to the uninterrupted operator's.
         """
         tally_state = self._tally.export_state()
-        # The exported key blob is in first-seen order and first-seen
-        # indices are dense 0..K-1, so ``_first_seen[key]`` *is* the
-        # key's position in the blob — no index map to build.
-        first_seen = self._tally._first_seen
+        # The exported key blob is in the count table's (first-seen)
+        # order, so a key's index there is its position in the blob.
+        position = {key: i for i, key in enumerate(self._tally.counts)}
         returned = []
         for result in self.returned:
             key = self._tally.pack(result.ranking.order)
             returned.append(
                 {
-                    "key": first_seen[key],
+                    "key": position[key],
                     "stability": result.stability,
                     "confidence_error": result.confidence_error,
                     "sample_count": result.sample_count,

@@ -11,7 +11,7 @@ This module replaces all of it with batch-level numpy:
 - :func:`auto_chunk_size` — pick the number of sampled functions scored
   per BLAS call so the transient score matrix stays cache/memory
   friendly regardless of ``n``;
-- :func:`score_block` — the ``(batch, d) @ (d, n)`` scoring product;
+- :func:`score_block` — the ``(batch, d) @ (d, n)`` product on one BLAS thread;
 - :func:`full_ranking_rows` / :func:`topk_rows` — reduce a block of
   score rows to ranking keys in bulk (``argsort`` for complete
   rankings, ``argpartition`` + deterministic tie repair for top-k);
@@ -19,12 +19,14 @@ This module replaces all of it with batch-level numpy:
   (one ``bytes`` object per ranking, minimal-width integer dtype)
   replacing Python tuples and frozensets as hash keys;
 - :class:`RankingTally` — the count table of Algorithms 7-8 with a
-  lazy max-heap over (count, first-seen) so "best unreturned ranking"
-  is a heap peek instead of a full-table scan.
+  max-heap over (count, first-seen), rebuilt after each observe, so
+  "best unreturned ranking" is a heap peek instead of a full-table scan.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import heapq
 import os
 
@@ -57,6 +59,29 @@ _MAX_CHUNK = 8192
 #: with different tuning constants) share one reproducible chunk
 #: decomposition — the tally's first-seen tie-break order depends on it.
 CHUNK_ENV_VAR = "REPRO_SCORING_CHUNK"
+
+
+def _pin_openblas() -> None:
+    """Set each OpenBLAS in ``/proc/self/maps`` to one thread through its
+    own ``openblas_set_num_threads`` (numpy's wheel prefixes and suffixes
+    it: ``scipy_openblas_set_num_threads64_``).  See :func:`score_block`."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            paths = {line.split(None, 5)[5].strip() for line in maps
+                     if "openblas" in line.lower()}
+    except OSError:  # no /proc: not Linux
+        return
+    names = [f"{prefix}openblas_set_num_threads{suffix}"
+             for prefix in ("", "scipy_") for suffix in ("", "64_", "_64")]
+    for path in sorted(paths):
+        with contextlib.suppress(OSError):  # mapped, but not loadable
+            lib = ctypes.CDLL(path)
+            for set_threads in [getattr(lib, n) for n in names if hasattr(lib, n)][:1]:
+                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                set_threads(1)
+
+
+_pin_openblas()
 
 
 def auto_chunk_size(
@@ -111,6 +136,13 @@ def score_block(
     buffer; the leading ``batch`` rows are written in place and returned,
     so one observe pass can reuse a single buffer across all its chunks
     instead of allocating a fresh score matrix per BLAS call.
+
+    Importing this module pins every loaded OpenBLAS (numpy's Linux
+    wheels ship one; other BLAS libraries are left alone) to one thread:
+    a second mostly spin-waits on these shapes, and how OpenBLAS splits
+    a GEMM changes edge-tile scores' last bits, so tied data would tally
+    differently per host.  It pins at import, before any scoring thread
+    exists: resizing the pool mid-call is not documented as safe.
     """
     v = np.ascontiguousarray(values, dtype=np.float64)
     w = np.ascontiguousarray(np.atleast_2d(weights), dtype=np.float64)
@@ -154,11 +186,10 @@ def _descending_keys(scores: np.ndarray) -> tuple[np.ndarray, int]:
         if smin < 0.0:
             sign = np.uint64(0x8000000000000000)
             keys ^= ((keys >> np.uint64(63)) * np.uint64(0xFFFFFFFFFFFFFFFF)) | sign
-        np.invert(keys, out=keys)
+        keys |= low_mask
     else:
-        keys = np.invert(s.view(np.uint64))
-    keys &= ~low_mask
-    keys |= np.arange(n, dtype=np.uint64)
+        keys = s.view(np.uint64) | low_mask
+    keys ^= ~np.arange(n, dtype=np.uint64)  # == (~bits & ~low_mask) | ids
     return keys, id_bits
 
 
@@ -284,10 +315,10 @@ def unpack_key(key: bytes, dtype: np.dtype) -> tuple[int, ...]:
 class RankingTally:
     """Count table + best-unreturned heap for the randomized operators.
 
-    Keys are byte-packed rankings (:func:`pack_rows`).  Counts only ever
-    grow, so the "most frequent unreturned key" query is served by a
-    *lazy* max-heap: every count update pushes a fresh entry and stale
-    entries are discarded when popped.  Ties are broken by first-seen
+    Keys are byte-packed rankings (:func:`pack_rows`), in first-seen
+    order in the count table.  An observe only updates counts and drops
+    the max-heap that serves "most frequent unreturned key"; the next
+    query rebuilds it from the table.  Ties are broken by first-seen
     order (then by key bytes), matching the seed's insertion-order scan.
 
     Parameters
@@ -299,32 +330,34 @@ class RankingTally:
         top-k keys).
     """
 
-    __slots__ = ("dtype", "key_length", "counts", "total", "_first_seen",
-                 "_heap", "_returned")
+    __slots__ = ("dtype", "key_length", "counts", "total", "_heap",
+                 "_returned")
 
     def __init__(self, n_items: int, key_length: int):
         self.dtype = key_dtype_for(n_items)
         self.key_length = int(key_length)
         self.counts: dict[bytes, int] = {}
         self.total = 0
-        self._first_seen: dict[bytes, int] = {}
-        self._heap: list[tuple[int, int, bytes]] = []
+        self._heap: list[tuple[int, int, bytes]] | None = None  # None: rebuild
         self._returned: set[bytes] = set()
 
     @property
     def nbytes(self) -> int:
         """Approximate resident bytes of this tally (telemetry only).
 
-        Packed-key bytes across the count table, first-seen map, lazy
-        heap, and returned set, plus CPython per-entry container
-        overhead (dict slot + boxed int ~ 100 bytes).  A gauge for the
+        Packed-key bytes across the count table, best-unreturned heap
+        and returned set, plus CPython per-entry container overhead
+        (dict slot + boxed int ~ 100 bytes).  The heap is counted as
+        built, one entry per unreturned key, so a restored tally
+        reports what the original did.  A gauge for the
         resource-telemetry layer, not an allocator-accurate number.
         """
         key_bytes = self.key_length * self.dtype.itemsize
         n_keys = len(self.counts)
+        n_heap = n_keys - sum(key in self.counts for key in self._returned)
         return (
-            2 * n_keys * (key_bytes + 100)            # counts + first_seen
-            + len(self._heap) * (key_bytes + 120)     # heap tuples
+            n_keys * (key_bytes + 100)                # count table
+            + n_heap * (key_bytes + 120)              # heap tuples
             + len(self._returned) * (key_bytes + 60)  # returned set
         )
 
@@ -354,18 +387,12 @@ class RankingTally:
         if isinstance(keys, np.ndarray):
             # void-dtype arrays list-ify straight to bytes objects.
             keys = keys.tolist()
-        if isinstance(freqs, np.ndarray):
-            freqs = freqs.tolist()
         counts = self.counts
-        first_seen = self._first_seen
-        heap = self._heap
-        for key, freq in zip(keys, freqs):
-            new = counts.get(key, 0) + int(freq)
-            counts[key] = new
-            seq = first_seen.setdefault(key, len(first_seen))
-            if key not in self._returned:
-                heapq.heappush(heap, (-new, seq, key))
+        get = counts.get
+        for key, freq in zip(keys, np.asarray(freqs).tolist()):
+            counts[key] = get(key, 0) + freq
         self.total += int(n_rows)
+        self._heap = None
 
     def merge(self, other: "RankingTally") -> None:
         """Fold another tally's counts into this one.
@@ -377,9 +404,8 @@ class RankingTally:
         """
         if other.key_length != self.key_length or other.dtype != self.dtype:
             raise ValueError("cannot merge tallies with different key layouts")
-        ordered = sorted(other.counts, key=other._first_seen.__getitem__)
         self.observe_packed(
-            ordered, [other.counts[key] for key in ordered], other.total
+            list(other.counts), list(other.counts.values()), other.total
         )
 
     def export_state(self) -> dict:
@@ -448,16 +474,10 @@ class RankingTally:
             raise ValueError(
                 f"counts sum to {int(freqs.sum())}, total says {total}"
             )
-        heap = tally._heap
-        for i in range(n_keys):
-            key = keys[i * width : (i + 1) * width]
-            count = int(freqs[i])
-            tally.counts[key] = count
-            tally._first_seen[key] = i
-            heap.append((-count, i, key))
+        for i, count in enumerate(freqs.tolist()):
+            tally.counts[keys[i * width : (i + 1) * width]] = count
         if len(tally.counts) != n_keys:
             raise ValueError("key blob contains duplicate keys")
-        heapq.heapify(heap)
         tally.total = int(total)
         return tally
 
@@ -469,14 +489,13 @@ class RankingTally:
         """
         if m < 1:
             raise ValueError(f"m must be >= 1, got {m}")
-        first_seen = self._first_seen
         return [
             key
             for _, _, key in heapq.nsmallest(
                 m,
                 (
-                    (-count, first_seen[key], key)
-                    for key, count in self.counts.items()
+                    (-count, seq, key)
+                    for seq, (key, count) in enumerate(self.counts.items())
                 ),
             )
         ]
@@ -521,14 +540,18 @@ class RankingTally:
 
     def best_unreturned(self) -> bytes | None:
         """The not-yet-returned key with the highest count, or ``None``."""
+        returned = self._returned
         heap = self._heap
-        while heap:
-            neg_count, seq, key = heap[0]
-            if key in self._returned or self.counts[key] != -neg_count:
-                heapq.heappop(heap)  # stale or already returned
-                continue
-            return key
-        return None
+        if heap is None:
+            heap = self._heap = [
+                (-count, seq, key)
+                for seq, (key, count) in enumerate(self.counts.items())
+                if key not in returned
+            ]
+            heapq.heapify(heap)
+        while heap and heap[0][2] in returned:
+            heapq.heappop(heap)
+        return heap[0][2] if heap else None
 
     def mark_returned(self, key: bytes) -> None:
         self._returned.add(key)

@@ -14,11 +14,12 @@ This module makes the *reduction* stage pluggable:
 
 Byte identity is a hard contract, not an aspiration: the scoring GEMM
 is shared by every backend (a re-derived dot product could differ in
-the last ulp and flip a near-tie), and the jitted selection uses the
-same exact comparisons — descending score, ties by ascending item id —
-as :func:`repro.core.ranking._top_k_order`.  Backends therefore produce
-identical packed tallies (keys, counts, first-seen order) for any chunk
-plan, and never touch the rng stream.
+the last ulp and flip a near-tie) and runs on one OpenBLAS thread
+(:func:`repro.engine.kernel.score_block`), and the jitted selection
+uses the same exact comparisons — descending score, ties by ascending
+item id — as :func:`repro.core.ranking._top_k_order`.  Backends
+therefore produce identical packed tallies (keys, counts, first-seen
+order) for any chunk plan and BLAS setting, and never touch the rng.
 
 Selection precedence: an explicit name (the ``--kernel`` CLI flag or a
 ``kernel=`` argument) beats the ``REPRO_KERNEL`` environment variable,

@@ -13,7 +13,9 @@ pool, so a burst of cold observes can never occupy every executor
 thread and starve reads of a slot (see :mod:`repro.server.registry`).
 Responses on one connection are written in request order, the finished
 ones together, so pipelining clients need no correlation ids (though
-``"id"`` echoing is supported).
+``"id"`` echoing is supported), and take effect in that order on each
+dataset: a write waits for the connection's earlier requests on its
+dataset, a read for those that may write.
 
 **Backpressure, not buffering.** Each connection stops *reading* once
 ``max_pending_per_connection`` requests are in flight or its bounded
@@ -206,6 +208,7 @@ class StabilityServer:
         self._draining = False
         self._write_pool: ThreadPoolExecutor | None = None
         self._conn_tasks: set[asyncio.Task] = set()
+        self._writing: set[asyncio.Task] = set()  # not known to be reads
         self.drain_report: list[dict] = []
         self.prewarmed: list[str] = []
         self.slo_tracker = None
@@ -493,7 +496,7 @@ class StabilityServer:
             maxsize=max(2 * self.config.max_pending_per_connection, 8)
         )
         sender = asyncio.create_task(self._send_loop(queue, writer))
-        running: set[asyncio.Task] = set()  # its requests still executing
+        running: dict[asyncio.Task, object] = {}  # executing -> dataset
         try:
             while not self._draining:
                 try:
@@ -616,11 +619,15 @@ class StabilityServer:
                         break
                     continue
                 self._inflight += 1
-                task = asyncio.create_task(self._process(payload, deadline))
-                task.add_done_callback(
-                    lambda _t: (self._request_done(), running.discard(_t))
-                )
-                running.add(task)
+                target = payload.get("dataset") or self.registry.default_name
+                earlier = tuple(t for t, name in running.items() if name == target)
+                task = asyncio.create_task(self._process(payload, deadline, earlier))
+                self._writing.add(task)  # until _in_order classifies it
+                task.add_done_callback(lambda _t: (
+                    self._request_done(), running.pop(_t),
+                    self._writing.discard(_t),
+                ))
+                running[task] = target
                 if not await self._enqueue(queue, sender, task):
                     break
         except (ConnectionError, asyncio.CancelledError):
@@ -714,10 +721,10 @@ class StabilityServer:
     # ------------------------------------------------------------------
     # Request execution
     # ------------------------------------------------------------------
-    async def _process(self, payload: dict, deadline=None) -> dict:
+    async def _process(self, payload: dict, deadline=None, earlier=()) -> dict:
         start = self._loop.time()
         try:
-            response = await self._execute(payload, deadline)
+            response = await self._execute(payload, deadline, earlier)
         except Exception as exc:
             response = self._error_response(payload, exc)
         return self._account(payload, start, response)
@@ -811,7 +818,7 @@ class StabilityServer:
                 obs_flight.record_slow_query(record)
         return response
 
-    async def _execute(self, payload: dict, deadline=None) -> dict:
+    async def _execute(self, payload: dict, deadline=None, earlier=()) -> dict:
         op = payload["op"]
         try:
             managed = await self.registry.get(payload.get("dataset"))
@@ -831,6 +838,7 @@ class StabilityServer:
                 # Runs on the *default* executor, not the write pool —
                 # a checkpoint holding this session's write lock must
                 # not also queue behind other sessions' long observes.
+                await self._in_order(earlier, write=True)
                 async with managed.lock.write():
                     handled = await self._dispatch_in_executor(
                         managed, payload, deadline=deadline
@@ -844,6 +852,7 @@ class StabilityServer:
             while True:
                 if write:
                     self._check_overload(op, payload)
+                    await self._in_order(earlier, write=True)
                     await self._acquire_session_lock(
                         managed.lock, write=True, deadline=deadline
                     )
@@ -860,6 +869,7 @@ class StabilityServer:
                     finally:
                         await managed.lock.release_write()
                     break
+                await self._in_order(earlier, write=False)
                 await self._acquire_session_lock(
                     managed.lock, write=False, deadline=deadline
                 )
@@ -910,6 +920,16 @@ class StabilityServer:
                 "are shed (warm reads still answer)",
                 retry_after_ms=self._overload.retry_after_ms,
             )
+
+    async def _in_order(self, earlier, *, write: bool) -> None:
+        """Wait for the connection's ``earlier`` requests on this dataset
+        still running: a write (or checkpoint) for all of them, a read
+        for those that write or are not yet classified (one may still be
+        activating the session), so it never overtakes a conflict."""
+        (self._writing.add if write else self._writing.discard)(asyncio.current_task())
+        while pending := [t for t in earlier  # a read may escalate meanwhile
+                          if not t.done() and (write or t in self._writing)]:
+            await asyncio.wait(pending)
 
     async def _acquire_session_lock(self, lock, *, write: bool, deadline) -> None:
         """Acquire the session RW lock, bounded by the request deadline.

@@ -4,6 +4,8 @@ The kernel's observe pass is embarrassingly parallel across scoring
 chunks: each chunk's BLAS product, ranking-key reduction, and byte-pack
 is independent, and numpy releases the GIL inside all three, so a
 thread pool scales the pass across cores without pickling the dataset.
+These workers are the only parallelism: importing the kernel pins
+OpenBLAS to one thread, so each chunk's GEMM runs on its worker alone.
 
 Exact serial equivalence is preserved by construction:
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.ranking import _top_k_order
 from repro.engine import kernel
@@ -31,6 +33,51 @@ class TestScoreBlock:
         w = rng.uniform(size=2)
         out = kernel.score_block(values, w)
         assert out.shape == (1, 10)
+
+
+def _three_pass_keys(scores):
+    """Reference key build: invert, clear the id bits, then OR the ids."""
+    n = scores.shape[1]
+    id_bits = max(1, int(n - 1).bit_length())
+    low_mask = np.uint64((1 << id_bits) - 1)
+    s = np.ascontiguousarray(scores, dtype=np.float64)
+    smin = s.min() if s.size else 0.0
+    if smin <= 0.0:
+        keys = (s + 0.0).view(np.uint64)
+        if smin < 0.0:
+            sign = np.uint64(0x8000000000000000)
+            keys ^= ((keys >> np.uint64(63)) * np.uint64(0xFFFFFFFFFFFFFFFF)) | sign
+        np.invert(keys, out=keys)
+    else:
+        keys = np.invert(s.view(np.uint64))
+    keys &= ~low_mask
+    keys |= np.arange(n, dtype=np.uint64)
+    return keys, id_bits
+
+
+SUBNORMAL = np.float64(5e-324)
+KEY_BLOCKS = {
+    "positive": lambda rng, n: rng.uniform(0.5, 2.0, size=(3, n)),
+    "positive_ties": lambda rng, n: rng.integers(1, 4, size=(3, n)) / 4.0,
+    "zero": lambda rng, n: np.zeros((3, n)),
+    "negative_zero": lambda rng, n: np.full((3, n), -0.0),
+    "negative": lambda rng, n: -rng.uniform(0.5, 2.0, size=(3, n)),
+    "mixed_sign": lambda rng, n: rng.uniform(-1.0, 1.0, size=(3, n)),
+    "subnormal": lambda rng, n: rng.integers(1, 1_000, size=(3, n)) * SUBNORMAL,
+    "signed_subnormal": lambda rng, n: rng.integers(-9, 9, size=(3, n)) * SUBNORMAL,
+}
+
+
+class TestDescendingKeys:
+    @pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 953, 10_000])
+    @pytest.mark.parametrize("block", sorted(KEY_BLOCKS))
+    def test_bit_identical_to_three_pass_build(self, rng, n, block):
+        scores = KEY_BLOCKS[block](rng, n)
+        keys, id_bits = kernel._descending_keys(scores)
+        expected, expected_bits = _three_pass_keys(scores)
+        assert id_bits == expected_bits
+        assert keys.dtype == expected.dtype
+        assert np.array_equal(keys, expected)
 
 
 class TestFullRankingRows:
@@ -208,3 +255,61 @@ class TestRankingTally:
         tally.observe_rows(np.array([[0, 1]]))
         tally.mark_returned(tally.best_unreturned())
         assert tally.best_unreturned() is None
+
+
+#: Six two-item rankings over four items, as packed tally keys.
+_PAIRS = [(0, 1), (1, 0), (2, 3), (3, 2), (1, 2), (0, 3)]
+_PAIR_KEYS = [kernel.pack_rows(np.array([p]), np.dtype(np.uint8))[0].tobytes()
+              for p in _PAIRS]
+_TALLY_STEPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("observe"), st.dictionaries(
+            st.integers(0, len(_PAIRS) - 1), st.integers(1, 4),
+            min_size=1, max_size=len(_PAIRS))),
+        st.tuples(st.just("mark_best"), st.none()),
+        st.tuples(st.just("mark"), st.integers(0, len(_PAIRS) - 1)),
+        st.tuples(st.just("roundtrip"), st.none()),
+    ),
+    max_size=30,
+)
+
+
+class TestTallyHeapAgainstSortedReference:
+    @settings(max_examples=80, deadline=None)
+    @given(_TALLY_STEPS)
+    def test_interleaved_observe_mark_and_restore(self, steps):
+        tally = kernel.RankingTally(4, 2)
+        counts: dict[bytes, int] = {}  # insertion order = first seen
+        returned: set[bytes] = set()
+        for action, arg in steps:
+            if action == "observe":
+                keys = [_PAIR_KEYS[i] for i in arg]
+                freqs = list(arg.values())
+                tally.observe_packed(keys, freqs, sum(freqs))
+                for key, freq in zip(keys, freqs):
+                    counts[key] = counts.get(key, 0) + freq
+            elif action == "mark_best":
+                best = tally.best_unreturned()
+                if best is not None:
+                    tally.mark_returned(best)
+                    returned.add(best)
+            elif action == "mark":
+                tally.mark_returned(_PAIR_KEYS[arg])
+                returned.add(_PAIR_KEYS[arg])
+            else:
+                nbytes = tally.nbytes
+                tally = kernel.RankingTally.from_state(4, **tally.export_state())
+                for key in returned:
+                    tally.mark_returned(key)
+                assert tally.nbytes == nbytes
+            order = sorted(
+                counts, key=lambda k: (-counts[k], list(counts).index(k))
+            )
+            unreturned = [key for key in order if key not in returned]
+            assert tally.best_unreturned() == (
+                unreturned[0] if unreturned else None
+            )
+            for m in (1, 2, len(_PAIRS) + 1):
+                assert tally.top_keys(m) == order[:m]
+            assert list(tally.counts.items()) == list(counts.items())
+            assert tally.export_state()["keys"] == b"".join(counts)

@@ -25,7 +25,7 @@ def _tally_fingerprint(op):
     return (
         state,
         counts.tobytes(),
-        list(tally._first_seen),
+        list(tally.counts),
         op.rng.bit_generator.state,
     )
 

@@ -23,6 +23,7 @@ import pytest
 
 from repro import StabilitySession
 from repro.server import ServeClient
+from repro.server.registry import ManagedSession
 from server_testlib import make_dataset, running_server
 
 HIT = {
@@ -329,3 +330,99 @@ def test_hit_never_overtakes_an_earlier_write_of_its_connection(dataset):
     assert after_grow["result"] == grown["result"] != first["result"]
     assert after_invalidate["cached"] is False
     assert after_invalidate["result"] == first["result"]
+
+
+def test_pipelined_write_waits_for_the_reads_before_it():
+    # The pool holds 300 samples; the pipelined window grows it, reads
+    # it, drops it and reads it again.  The invalidate must not take
+    # the session before the read queued ahead of it, nor the last read
+    # run before the invalidate.
+    with running_server(make_dataset(2_000, 3)) as handle:
+        with ServeClient(host=handle.host, port=handle.port) as client:
+            first = client.request(dict(HIT))
+        window = [{**HIT, "budget": 2_000}, HIT, {"op": "invalidate"}, HIT]
+        raw = _Raw(handle)
+        try:
+            raw.send(*({**p, "id": i} for i, p in enumerate(window)))
+            responses = [raw.recv() for _ in window]
+        finally:
+            raw.close()
+    assert all(r["ok"] for r in responses), responses
+    grown, read, _, regrown = responses
+    assert grown["result"] != first["result"]
+    assert read["result"] == grown["result"]
+    assert regrown["cached"] is False
+    assert regrown["result"] == first["result"]
+
+
+def test_read_waits_for_a_write_still_activating_its_session(
+    dataset, monkeypatch, tmp_path
+):
+    # One active session: activating "default" for the pipelined write
+    # evicts "other", whose checkpoint is held.  A read sent meanwhile
+    # finds "default" already active and warm (restored from its
+    # snapshot) and must still wait for the write before it.
+    entered, release = threading.Event(), threading.Event()
+    checkpoint = ManagedSession.checkpoint
+
+    def held_checkpoint(self):
+        entered.set()
+        release.wait(30)
+        return checkpoint(self)
+
+    grow = {**HIT, "budget": 2_000}
+    with running_server(dataset, state_dir=tmp_path, max_active=1,
+                        datasets={"other": make_dataset(seed=3)}) as handle:
+        with ServeClient(host=handle.host, port=handle.port) as client:
+            first = client.request(dict(HIT))
+            client.request({**HIT, "dataset": "other"})  # evicts "default"
+        monkeypatch.setattr(ManagedSession, "checkpoint", held_checkpoint)
+        raw = _Raw(handle)
+        try:
+            raw.send(grow)
+            assert entered.wait(30)
+            raw.send(HIT)
+            time.sleep(0.2)
+            release.set()
+            grown, read = raw.recv(), raw.recv()
+        finally:
+            release.set()
+            raw.close()
+    assert grown["ok"] and read["ok"], (grown, read)
+    assert grown["result"] != first["result"]
+    assert read["result"] == grown["result"]
+
+
+def test_pipelined_writes_to_other_datasets_do_not_wait(dataset):
+    # "default" is write-locked; the connection's write to "other",
+    # pipelined behind its write to "default", runs meanwhile.
+    grow = {**HIT, "budget": 2_000}
+    with running_server(dataset, datasets={"other": make_dataset(seed=3)}) as handle:
+        with ServeClient(host=handle.host, port=handle.port) as client:
+            client.request(dict(HIT))
+        lock = handle.server.registry._active["default"].lock
+        dispatched = []
+        original = handle.server._dispatch_in_executor
+
+        async def recording(managed, payload, **kwargs):
+            dispatched.append(managed.name)
+            return await original(managed, payload, **kwargs)
+
+        handle.server._dispatch_in_executor = recording
+        _on_loop(handle, lock.acquire_write())
+        raw = _Raw(handle)
+        try:
+            raw.send(grow, {**grow, "dataset": "other"})
+            deadline = time.monotonic() + 5
+            while "other" not in dispatched and time.monotonic() < deadline:
+                time.sleep(0.01)
+            while_locked = list(dispatched)
+        finally:
+            _on_loop(handle, lock.release_write())
+        try:
+            responses = [raw.recv(), raw.recv()]
+        finally:
+            raw.close()
+    assert while_locked == ["other"]
+    assert all(r["ok"] for r in responses), responses
+    assert dispatched == ["other", "default"]
