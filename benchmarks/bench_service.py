@@ -33,14 +33,13 @@ import os
 import sys
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from repro import Dataset, StabilityEngine, StabilitySession, execute_batch
 from repro import obs
 from repro.core.randomized import GetNextRandomized
-from repro.service.parallel import parallel_observe
+from repro.service.parallel import ObserveExecutor
 
 N_ITEMS = 10_000
 N_ATTRS = 4
@@ -126,11 +125,11 @@ def _parallel_equivalence(n_samples: int) -> float:
     start = time.perf_counter()
     serial.observe(n_samples)
     serial_s = time.perf_counter() - start
-    with ThreadPoolExecutor(max_workers=4) as pool:
+    with ObserveExecutor("thread", max_workers=4) as executor:
         start = time.perf_counter()
-        chunks = parallel_observe(sharded, n_samples, executor=pool)
+        ran = executor.observe(sharded, n_samples)
         parallel_s = time.perf_counter() - start
-    assert chunks > 0, "parallel path did not run"
+    assert ran == "thread", "parallel path did not run"
     assert sharded.total_samples == serial.total_samples
     assert sharded.tally.counts == serial.tally.counts, "tally counts diverged"
     assert (

@@ -13,7 +13,7 @@ evaluation (section 6).  Conventions:
   in the saved benchmark JSON, and printed (visible with ``-s``).
 
 Sizes are scaled down from the paper where the original would take
-hours in pure Python; DESIGN.md section 4 records the mapping.
+hours in pure Python.
 """
 
 from __future__ import annotations

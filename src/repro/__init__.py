@@ -110,7 +110,6 @@ from repro.service import (
     StabilityRequest,
     StabilitySession,
     execute_batch,
-    parallel_observe,
 )
 
 __version__ = "1.1.0"
@@ -147,7 +146,6 @@ __all__ = [
     "StabilityRequest",
     "ResultCache",
     "execute_batch",
-    "parallel_observe",
     "ObserveExecutor",
     "StabilityBackend",
     "available_backends",

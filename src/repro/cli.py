@@ -170,13 +170,6 @@ def _add_session_dials(
         metavar="N",
         help="observe worker-pool width (default: usable cores minus one)",
     )
-    parser.add_argument(
-        "--kernel",
-        default=unset,
-        help="reduction kernel backend (numpy, numba, or auto; default "
-        "auto picks the fastest available; REPRO_KERNEL overrides the "
-        "default — tallies are byte-identical across backends)",
-    )
 
 
 def _session_config(args) -> SessionConfig:

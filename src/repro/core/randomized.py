@@ -9,7 +9,8 @@ works for partial (top-k) rankings, since it never needs the one-to-one
 region/ranking correspondence.
 
 The sampling hot path runs entirely on the vectorized kernel of
-:mod:`repro.engine.kernel`: one BLAS scoring product per block, bulk
+:mod:`repro.engine.kernel`, through the one chunk reduction of
+:mod:`repro.engine.kernels`: one BLAS scoring product per block, bulk
 ``argsort``/``argpartition`` key extraction, byte-packed count keys,
 and a heap-backed "best unreturned" query.
 
@@ -96,15 +97,6 @@ class GetNextRandomized:
         over ``dataset.values``, shared across operators so a serving
         session pays the band construction once (the index caches per
         ``k``).  ``None`` builds a private index on demand.
-    kernel_backend:
-        Kernel backend for the chunk reduction — a name (``"numpy"``,
-        ``"numba"``, ``"auto"``) or a
-        :class:`repro.engine.kernels.KernelBackend` instance.  ``None``
-        resolves via the ``REPRO_KERNEL`` environment variable, then
-        auto-selects the fastest available backend.  Every backend
-        produces the byte-identical tally (keys, counts, first-seen
-        order) and never touches the rng stream; the choice is a pure
-        speed dial and is deliberately *not* part of durable state.
     sampling:
         ``"mc"`` (default) draws i.i.d. uniform weights from the rng;
         ``"qmc"`` drives the pool with a randomised low-discrepancy
@@ -116,6 +108,9 @@ class GetNextRandomized:
         are no longer independent, so confidence half-widths are the
         (conservative) i.i.d. ones.
     """
+
+    #: The chunk reduction every operator shares (stateless).
+    kernel_backend = kernels.KernelBackend()
 
     def __init__(
         self,
@@ -129,7 +124,6 @@ class GetNextRandomized:
         scoring_chunk: int | None = None,
         prune_topk: bool | None = None,
         skyband=None,
-        kernel_backend: "str | kernels.KernelBackend | None" = None,
         sampling: str = "mc",
     ):
         if kind not in ("full", "topk_ranked", "topk_set"):
@@ -147,7 +141,6 @@ class GetNextRandomized:
         self.k = int(k) if k is not None else None
         self.rng = rng if rng is not None else np.random.default_rng()
         self.confidence = confidence
-        self.kernel_backend = kernels.resolve_kernel(kernel_backend)
         self.sampling = sampling
         if sampling == "qmc":
             from repro.sampling.quasi import QuasiStream
@@ -157,9 +150,7 @@ class GetNextRandomized:
             self._qmc = None
         self._auto_chunk = scoring_chunk is None
         if scoring_chunk is None:
-            self.scoring_chunk = kernel.auto_chunk_size(
-                dataset.n_items, scale=self.kernel_backend.chunk_scale
-            )
+            self.scoring_chunk = kernel.auto_chunk_size(dataset.n_items)
         else:
             self.scoring_chunk = max(1, int(scoring_chunk))
         # State shared across get_next calls (Algorithm 7's cnts / N').
@@ -232,9 +223,7 @@ class GetNextRandomized:
             self.dataset.values[candidates]
         )
         if self._auto_chunk:
-            self.scoring_chunk = kernel.auto_chunk_size(
-                candidates.size, scale=self.kernel_backend.chunk_scale
-            )
+            self.scoring_chunk = kernel.auto_chunk_size(candidates.size)
 
     def plan_chunks(self, n_new: int) -> list[int]:
         """The chunk decomposition of an ``n_new``-sample observe pass.
@@ -264,31 +253,17 @@ class GetNextRandomized:
             return self._qmc.sample(batch)
         return self.region.sample(batch, self.rng)
 
-    def rows_for_weights(self, weights: np.ndarray) -> np.ndarray:
-        """Ranking-key rows induced by a block of sampled functions.
-
-        Pure (no operator state is mutated), so blocks can be reduced
-        concurrently; candidate-space top-k rows are mapped back to
-        dataset identifiers.
-        """
-        if self._candidate_values is not None:
-            values, candidates = self._candidate_values, self._candidates
-        else:
-            values, candidates = self.dataset.values, None
-        scores = kernel.score_block(values, weights)
-        rows = self.kernel_backend.rank_rows(scores, kind=self.kind, k=self.k)
-        if candidates is not None:
-            rows = candidates[rows]
-        return rows
-
     def reduce_for_weights(self, weights: np.ndarray, *, out: np.ndarray | None = None):
-        """One chunk's pure reduction on the active kernel backend.
+        """One chunk's pure reduction (:meth:`KernelBackend.reduce_chunk
+        <repro.engine.kernels.KernelBackend.reduce_chunk>`).
 
         Returns ``(uniques, freqs, n_rows)`` for
-        :meth:`~repro.engine.kernel.RankingTally.observe_packed`; pure
-        like :meth:`rows_for_weights`, so the thread observer submits it
-        concurrently.  ``out`` optionally reuses a preallocated score
-        buffer (serial path only — concurrent chunks must not share one).
+        :meth:`~repro.engine.kernel.RankingTally.observe_packed`.  No
+        operator state is mutated, so the thread observer submits chunks
+        concurrently; candidate-space top-k rows are mapped back to
+        dataset identifiers.  ``out`` optionally reuses a preallocated
+        score buffer (serial path only — concurrent chunks must not
+        share one).
         """
         if self._candidate_values is not None:
             values, candidates = self._candidate_values, self._candidates

@@ -5,8 +5,8 @@ Blue Nile diamond catalog, US DoT flight on-time records) plus the
 classic Börzsönyi synthetic families.  None of the real files can be
 fetched offline, so each generator here synthesises a dataset with the
 same schema, attribute correlations, and reference scoring function —
-the properties the stability algorithms actually exercise.  DESIGN.md
-documents each substitution.
+the properties the stability algorithms actually exercise; each
+generator's docstring says what it substitutes.
 """
 
 from repro.datasets.synthetic import (

@@ -3,15 +3,15 @@
 - :mod:`repro.engine.kernel` — the vectorized ranking kernel every
   backend's hot path runs on (chunked BLAS scoring, bulk top-k
   extraction, byte-packed count keys, heap-backed best-unreturned);
-- :mod:`repro.engine.kernels` — the pluggable kernel-backend registry
-  for the chunk reduction (``numpy`` reference, jitted ``numba``),
-  selected via ``REPRO_KERNEL`` / the ``--kernel`` CLI dial;
+- :mod:`repro.engine.kernels` — :class:`~repro.engine.kernels.KernelBackend`,
+  the one chunk reduction (score, rank, pack, unique) every observe
+  pass runs;
 - :mod:`repro.engine.backends` — the backend protocol and registry
   (``twod_exact``, ``md_arrangement``, ``randomized``);
 - :mod:`repro.engine.engine` — the :class:`StabilityEngine` facade
   with ``(d, n, kind, budget)`` auto-dispatch.
 
-The kernel (and its backend registry) is imported eagerly; the
+The kernel (and its chunk reduction) is imported eagerly; the
 stability backends and facade load lazily on first attribute access
 because they depend on :mod:`repro.core`, which itself routes its
 randomized hot path through the kernel.

@@ -364,7 +364,6 @@ class RandomizedBackend(_IterMixin):
         scoring_chunk: int | None = None,
         prune_topk: bool | None = None,
         skyband=None,
-        kernel_backend=None,
         sampling: str = "mc",
     ):
         self.dataset = dataset
@@ -381,7 +380,6 @@ class RandomizedBackend(_IterMixin):
             scoring_chunk=scoring_chunk,
             prune_topk=prune_topk,
             skyband=skyband,
-            kernel_backend=kernel_backend,
             sampling=sampling,
         )
 

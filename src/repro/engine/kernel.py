@@ -28,7 +28,6 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import heapq
-import os
 
 import numpy as np
 
@@ -52,13 +51,6 @@ __all__ = [
 _TARGET_BLOCK_BYTES = 16 * 1024 * 1024
 _MIN_CHUNK = 16
 _MAX_CHUNK = 8192
-
-#: Environment override pinning the scoring chunk to a fixed row count.
-#: The auto-tuned size is already a pure function of ``n``, but pinning
-#: it lets serial and shard-parallel observe passes (and runs on hosts
-#: with different tuning constants) share one reproducible chunk
-#: decomposition — the tally's first-seen tie-break order depends on it.
-CHUNK_ENV_VAR = "REPRO_SCORING_CHUNK"
 
 
 def _pin_openblas() -> None:
@@ -90,39 +82,20 @@ def auto_chunk_size(
     target_bytes: int = _TARGET_BLOCK_BYTES,
     lo: int = _MIN_CHUNK,
     hi: int = _MAX_CHUNK,
-    scale: float = 1.0,
 ) -> int:
     """Rows of sampled functions per scoring block, auto-tuned to ``n``.
 
     Bounds the transient ``(chunk, n)`` float64 score matrix (and the
     same-shaped argsort workspace) near ``target_bytes``, clamped to
-    ``[lo, hi]``.  ``scale`` is the active kernel backend's chunk
-    multiplier (:attr:`repro.engine.kernels.KernelBackend.chunk_scale`):
-    a compiled reduction streams each row once with no sort workspace,
-    so it tolerates proportionally larger blocks (the clamp ceiling
-    scales with it).  Deterministic: the result depends only on ``n``
-    and the explicit arguments, so two operators over the same dataset
-    *and kernel backend* always agree on the chunk decomposition.
-    Setting the ``REPRO_SCORING_CHUNK`` environment variable overrides
-    the tuning — including ``scale`` — with a fixed positive row count,
-    which is what pins one reproducible decomposition across backends.
+    ``[lo, hi]``.  Deterministic: the result depends only on ``n`` and
+    the explicit arguments, so two operators over the same dataset
+    always agree on the chunk decomposition — the tally's first-seen
+    tie-break order depends on it.  An operator's explicit
+    ``scoring_chunk`` replaces the tuning.
     """
     if n_items < 1:
         raise ValueError(f"n_items must be >= 1, got {n_items}")
-    override = os.environ.get(CHUNK_ENV_VAR)
-    if override:
-        pinned = int(override)
-        if pinned < 1:
-            raise ValueError(
-                f"{CHUNK_ENV_VAR} must be a positive integer, got {override!r}"
-            )
-        return pinned
-    if scale <= 0.0:
-        raise ValueError(f"scale must be positive, got {scale}")
-    per_row = 8 * max(n_items, 1)
-    return int(
-        np.clip(int(target_bytes * scale) // per_row, lo, max(hi, int(hi * scale)))
-    )
+    return int(np.clip(target_bytes // (8 * n_items), lo, hi))
 
 
 def score_block(

@@ -208,6 +208,7 @@ class StabilityServer:
         self._draining = False
         self._write_pool: ThreadPoolExecutor | None = None
         self._conn_tasks: set[asyncio.Task] = set()
+        self._reading: set[asyncio.Task] = set()  # handlers idle in a read
         self._writing: set[asyncio.Task] = set()  # not known to be reads
         self.drain_report: list[dict] = []
         self.prewarmed: list[str] = []
@@ -412,10 +413,21 @@ class StabilityServer:
         # Server.wait_closed blocks until every client connection is
         # gone — and an idle keep-alive handler parked in readuntil()
         # only exits when cancelled here.
-        for task in list(self._conn_tasks):
+        for task in list(self._reading):
             task.cancel()
+        # Any other handler still owes an answer: one parked behind
+        # max_pending_per_connection holds a request it has read but not
+        # counted in _inflight, and wakes only after the request ahead
+        # of it finished.  It gets the rest of the grace to refuse that
+        # request and close; whatever is still open then is cancelled.
         if self._conn_tasks:
-            await asyncio.gather(*self._conn_tasks, return_exceptions=True)
+            _, late = await asyncio.wait(
+                set(self._conn_tasks),
+                timeout=max(deadline - self._loop.time(), 0.0),
+            )
+            for task in late:
+                task.cancel()
+            await asyncio.gather(*late, return_exceptions=True)
         with contextlib.suppress(Exception):
             await self._server.wait_closed()
         if self._metrics_server is not None:
@@ -459,8 +471,11 @@ class StabilityServer:
         An oversized frame is *discarded through its newline* and
         reported as :class:`~repro.server.protocol.RequestError`
         (``line_too_long``) — the connection survives, and the next
-        line parses normally.
+        line parses normally.  While it waits, the handler holds no
+        request, so a drain may cancel it (:attr:`_reading`).
         """
+        task = asyncio.current_task()
+        self._reading.add(task)
         try:
             return await reader.readuntil(b"\n")
         except asyncio.IncompleteReadError as exc:
@@ -483,6 +498,8 @@ class StabilityServer:
                 "line_too_long",
                 f"request line exceeded {self.config.max_line_bytes} bytes",
             ) from None
+        finally:
+            self._reading.discard(task)
 
     async def _on_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter

@@ -5,8 +5,8 @@ turns it into a serving tier:
 
 - :mod:`repro.service.config` — :class:`SessionConfig`, the one frozen,
   validated object carrying every session dial (durable: seed,
-  confidence, budget, sampling; runtime: executor, workers, kernel,
-  cache size);
+  confidence, budget, sampling; runtime: executor, workers, cache
+  size);
 - :mod:`repro.service.session` — :class:`StabilitySession`, reusable
   per-dataset state (cumulative Monte-Carlo pools, the shared k-skyband
   index, cached exact enumerations) behind pool-based query semantics;
@@ -16,11 +16,10 @@ turns it into a serving tier:
 - :mod:`repro.service.batch` — :class:`StabilityRequest` /
   :func:`execute_batch`, grouping heterogeneous requests by backend and
   amortizing one sampling pass across a whole batch;
-- :mod:`repro.service.parallel` — :class:`ObserveExecutor` /
-  :func:`parallel_observe`, shard-parallel observe over the kernel's
-  scoring chunks (serial / thread pool behind one dial) with exact
-  serial tally equivalence and a serial fallback below the auto
-  threshold;
+- :mod:`repro.service.parallel` — :class:`ObserveExecutor`,
+  shard-parallel observe over the kernel's scoring chunks (serial /
+  thread pool behind one dial) with exact serial tally equivalence and
+  a serial fallback below the auto threshold;
 - :mod:`repro.service.persist` — versioned snapshot/restore for
   sessions (:meth:`StabilitySession.save` /
   :meth:`StabilitySession.restore`): byte-packed tallies, rng streams,
@@ -45,8 +44,6 @@ from repro.service.config import SessionConfig
 from repro.service.parallel import (
     ObserveExecutor,
     default_workers,
-    parallel_observe,
-    should_parallelize,
 )
 from repro.service.persist import (
     SNAPSHOT_VERSION,
@@ -75,8 +72,6 @@ __all__ = [
     "BatchOutcome",
     "BatchPlanner",
     "execute_batch",
-    "parallel_observe",
-    "should_parallelize",
     "ObserveExecutor",
     "default_workers",
 ]

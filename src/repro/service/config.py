@@ -4,11 +4,11 @@ A session's answers depend on four values: the sample stream (``seed``,
 ``sampling``), the default pool ``budget`` and the ``confidence`` of the
 Equation 10/11 half-widths.  These are the **durable** fields: a
 snapshot stores them, and a restore takes them from the snapshot header.
-The other four change only speed and memory — every executor, worker
-count and kernel produces byte-identical tallies — so they are
-**runtime** fields, chosen afresh by whoever restores.
+The other three change only speed and memory — every executor and
+worker count produces byte-identical tallies — so they are **runtime**
+fields, chosen afresh by whoever restores.
 
-:class:`SessionConfig` names, defaults and validates all eight in one
+:class:`SessionConfig` names, defaults and validates all seven in one
 place.  :class:`~repro.service.StabilitySession`,
 :class:`~repro.server.SessionRegistry`,
 :func:`~repro.service.persist.load_session` and the CLI carry one
@@ -21,7 +21,6 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-from repro.engine.kernels import available_kernels
 from repro.service.budget import PrecisionBudget, parse_budget
 from repro.service.parallel import EXECUTOR_MODES
 
@@ -31,7 +30,7 @@ __all__ = ["DURABLE", "RUNTIME", "SAMPLING_SCHEMES", "SessionConfig"]
 DURABLE = ("seed", "confidence", "budget", "sampling")
 
 #: Fields that trade only speed and memory: the restoring caller's choice.
-RUNTIME = ("executor", "max_workers", "kernel", "cache_size")
+RUNTIME = ("executor", "max_workers", "cache_size")
 
 SAMPLING_SCHEMES = ("mc", "qmc")
 
@@ -68,11 +67,6 @@ class SessionConfig:
     ``max_workers``
         Worker-pool width; ``None`` means the usable cores minus one
         (:func:`repro.service.parallel.default_workers`).
-    ``kernel``
-        Chunk-reduction backend (``"numpy"``, ``"numba"``, ``"auto"``);
-        ``None`` defers to ``REPRO_KERNEL``, then auto-selection.  A
-        registered backend missing on this host falls back to numpy
-        with a warning.
     ``cache_size``
         Entries of the session's private result cache (``0`` disables
         it; ignored when a shared cache is passed).
@@ -84,7 +78,6 @@ class SessionConfig:
     sampling: str = "mc"
     executor: str = "auto"
     max_workers: int | None = None
-    kernel: str | None = None
     cache_size: int = 512
 
     def __post_init__(self):
@@ -103,12 +96,6 @@ class SessionConfig:
             )
         if self.max_workers is not None and self.max_workers < 1:
             raise ValueError(f"max_workers must be >= 1, got {self.max_workers!r}")
-        if self.kernel is not None:
-            kernels = ("auto", *available_kernels())
-            if self.kernel not in kernels:
-                raise ValueError(
-                    f"kernel must be one of {kernels}, got {self.kernel!r}"
-                )
         if self.cache_size < 0:
             raise ValueError(f"cache_size must be >= 0, got {self.cache_size!r}")
 

@@ -11,30 +11,27 @@ Exact serial equivalence is preserved by construction:
 
 1. the pruning-index build and chunk plan run first, exactly as the
    serial path would (:meth:`GetNextRandomized.prepare_observe` /
-   :meth:`~GetNextRandomized.plan_chunks` — deterministic, and pinnable
-   via the ``REPRO_SCORING_CHUNK`` environment variable);
+   :meth:`~GetNextRandomized.plan_chunks`, or an explicit
+   ``scoring_chunk``);
 2. weight sampling stays on the caller's thread, one chunk at a time in
    plan order, so the operator's rng consumes the identical stream;
 3. workers run only the pure chunk reduction
-   (:meth:`~GetNextRandomized.rows_for_weights` + byte-pack +
-   ``np.unique``), producing a mergeable mini-tally per chunk;
+   (:meth:`~GetNextRandomized.reduce_for_weights`), producing a
+   mergeable mini-tally per chunk;
 4. mini-tallies fold into the operator's tally **in plan order**
    (:meth:`RankingTally.observe_packed`), reproducing the serial
    tally byte-for-byte — counts, totals, and first-seen tie-breaks.
 
 :class:`ObserveExecutor` is the one dial over all of it: ``serial`` /
-``thread`` backends behind a single ``observe`` call, with an ``auto``
-mode that picks per pass from the work size (``n_items`` x chunks x
-cores).
+``thread`` behind a single ``observe`` call, with an ``auto`` mode that
+picks per pass from the work size (``n_items`` x chunks x workers).
 """
 
 from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import Executor, ThreadPoolExecutor
-
-import numpy as np
+from concurrent.futures import ThreadPoolExecutor
 
 from repro.core.randomized import GetNextRandomized
 from repro.obs import tracing as obs_trace
@@ -44,14 +41,11 @@ __all__ = [
     "PARALLEL_MIN_CHUNKS",
     "EXECUTOR_MODES",
     "default_workers",
-    "should_parallelize",
-    "resolve_executor_mode",
-    "parallel_observe",
     "ObserveExecutor",
 ]
 
-#: Below this many (effective) items a chunk reduction is too cheap for
-#: thread handoff to pay off — the serial fallback runs instead.
+#: Below this many items a chunk reduction is too cheap for thread
+#: handoff to pay off — ``auto`` runs the pass serially instead.
 PARALLEL_MIN_ITEMS = 2_048
 
 #: A pass needs at least this many chunks for sharding to matter.
@@ -76,149 +70,6 @@ def default_workers() -> int:
     return max(available - 1, 1)
 
 
-def should_parallelize(
-    n_items: int,
-    n_chunks: int,
-    max_workers: int,
-    *,
-    min_items: int = PARALLEL_MIN_ITEMS,
-    min_chunks: int = PARALLEL_MIN_CHUNKS,
-) -> bool:
-    """The auto threshold: shard only when the pass can win."""
-    return (
-        max_workers > 1
-        and n_items >= min_items
-        and n_chunks >= min_chunks
-    )
-
-
-def resolve_executor_mode(n_items: int, n_chunks: int, max_workers: int) -> str:
-    """Auto-select ``serial`` / ``thread`` for one pass.
-
-    The decision surface (also the README's executor-selection table):
-    too small to shard (``n_items < 2_048``, fewer than 2 chunks, or a
-    single worker) -> ``serial``; otherwise -> ``thread``, where the
-    GIL-releasing numpy sections run side by side.
-    """
-    return "thread" if should_parallelize(n_items, n_chunks, max_workers) else "serial"
-
-
-def _reduce_chunk(op: GetNextRandomized, weights: np.ndarray):
-    """Worker body: one chunk's rows, byte-packed and pre-reduced.
-
-    Returns the packed ``np.unique`` arrays as-is —
-    :meth:`~repro.engine.kernel.RankingTally.observe_packed` consumes
-    array keys directly, so no per-key Python list is built here.  The
-    reduction runs on the operator's kernel backend
-    (:meth:`~GetNextRandomized.reduce_for_weights`); the jitted backend
-    releases the GIL for the whole selection, so threads win extra
-    speedup beyond the BLAS sections.
-    """
-    return op.reduce_for_weights(weights)
-
-
-def parallel_observe(
-    op,
-    n_new: int,
-    *,
-    executor: Executor | None = None,
-    max_workers: int | None = None,
-    min_items: int = PARALLEL_MIN_ITEMS,
-    force: bool = False,
-) -> int:
-    """Grow ``op``'s sample pool by ``n_new``, sharding across workers.
-
-    Parameters
-    ----------
-    op:
-        A :class:`~repro.core.randomized.GetNextRandomized` operator or
-        a backend wrapping one (anything with a ``.raw`` attribute).
-    n_new:
-        Number of new sampled functions to observe.
-    executor:
-        An existing pool to run chunk reductions on.  ``None`` creates
-        a transient :class:`~concurrent.futures.ThreadPoolExecutor`
-        when the auto threshold passes, and falls back to the serial
-        ``op.observe`` otherwise.  A caller-owned pool skips the
-        *worker-count* half of the threshold (the pool's width is its
-        owner's business) but still short-circuits to serial when the
-        pass itself is too small to amortise handoff — a session
-        keeping one warm pool must not pay chunk submission for every
-        tiny top-up.
-    max_workers:
-        Pool width for the transient pool (default:
-        :func:`default_workers`).  ``max_workers <= 1`` forces the
-        serial fallback.
-    min_items:
-        Auto-threshold override on the effective item count.
-    force:
-        Run the sharded path unconditionally (tests pinning the
-        sharded code path on tiny fixtures; requires an ``executor``
-        or ``max_workers > 1``).
-
-    Returns
-    -------
-    int
-        The number of chunks reduced on the pool, or ``0`` when the
-        serial fallback ran.  Either way the pool has grown by
-        ``n_new`` and the tally matches the serial result exactly.
-    """
-    op = getattr(op, "raw", op)
-    if not isinstance(op, GetNextRandomized):
-        raise TypeError(
-            f"parallel_observe requires a randomized operator, got {type(op).__name__}"
-        )
-    if n_new <= 0:
-        return 0
-    op.prepare_observe(n_new)
-    sizes = op.plan_chunks(n_new)
-    workers = max_workers if max_workers is not None else default_workers()
-    if not force:
-        # A caller-owned executor has already sized its pool; judge only
-        # the pass (items x chunks), not the worker count.
-        effective_workers = 2 if executor is not None else workers
-        if not should_parallelize(
-            op.dataset.n_items, len(sizes), effective_workers, min_items=min_items
-        ):
-            op.observe(n_new)
-            return 0
-    # Sampling consumes the operator's stream serially in plan order —
-    # identical to the serial path's (rng for "mc", the quasi stream's
-    # running Halton index for "qmc").
-    traced = obs_trace.tracing_enabled()
-    clock = time.perf_counter
-    t0 = clock() if traced else 0.0
-    weight_chunks = [op.sample_weights(batch) for batch in sizes]
-    if traced:
-        obs_trace.record("observe.sample", clock() - t0,
-                         count=len(sizes), n=n_new)
-    own_pool: ThreadPoolExecutor | None = None
-    pool = executor
-    if pool is None:
-        own_pool = ThreadPoolExecutor(
-            max_workers=min(max(workers, 1), len(sizes)),
-            thread_name_prefix="repro-observe",
-        )
-        pool = own_pool
-    try:
-        t1 = clock() if traced else 0.0
-        futures = [pool.submit(_reduce_chunk, op, w) for w in weight_chunks]
-        if traced:
-            obs_trace.record("observe.submit", clock() - t1, count=len(futures))
-        t2 = clock() if traced else 0.0
-        for future in futures:  # plan order — NOT completion order
-            keys, freqs, n_rows = future.result()
-            op.tally.observe_packed(keys, freqs, n_rows)
-        if traced:
-            # Wait-and-fold: worker reductions overlap this loop, so it
-            # covers the whole reduce+fold tail of the pass.
-            obs_trace.record("observe.fold", clock() - t2, count=len(futures))
-    finally:
-        if own_pool is not None:
-            own_pool.shutdown(wait=True)
-    return len(sizes)
-
-
 class ObserveExecutor:
     """One dial over serial / thread-pool observe.
 
@@ -230,7 +81,10 @@ class ObserveExecutor:
     - ``mode="thread"`` — always the pool (an explicit mode runs the
       sharded path even for tiny passes: the caller has decided, and
       tests rely on pinning the code path);
-    - ``mode="auto"`` — :func:`resolve_executor_mode` per pass.
+    - ``mode="auto"`` — per pass (:meth:`resolve`): the pool only when
+      there is more than one worker, the dataset has at least
+      :data:`PARALLEL_MIN_ITEMS` items and the pass at least
+      :data:`PARALLEL_MIN_CHUNKS` chunks; serial otherwise.
 
     :meth:`close` shuts the pool down — sessions call it from their own
     ``close``, so server drains and evictions release the worker
@@ -264,7 +118,13 @@ class ObserveExecutor:
         if self.mode != "auto":
             return self.mode
         raw = getattr(op, "raw", op)
-        return resolve_executor_mode(raw.dataset.n_items, n_chunks, self.workers)
+        if (
+            self.workers > 1
+            and raw.dataset.n_items >= PARALLEL_MIN_ITEMS
+            and n_chunks >= PARALLEL_MIN_CHUNKS
+        ):
+            return "thread"
+        return "serial"
 
     # -- pool -----------------------------------------------------------
     def _threads(self) -> ThreadPoolExecutor:
@@ -286,6 +146,10 @@ class ObserveExecutor:
         if self._closed:
             raise RuntimeError("ObserveExecutor is closed")
         raw = getattr(op, "raw", op)
+        if not isinstance(raw, GetNextRandomized):
+            raise TypeError(
+                f"observe requires a randomized operator, got {type(raw).__name__}"
+            )
         if n_new <= 0:
             return "serial"
         # Lazy import: resilience lives above the service tier, and a
@@ -347,19 +211,39 @@ class ObserveExecutor:
         return mode, len(sizes)
 
     def _observe_one(self, raw, n_new: int) -> tuple[str, int]:
+        """One uninterrupted pass; returns ``(backend, chunks)``."""
         if self.mode == "serial":
             raw.observe(n_new)
             return "serial", 0
         raw.prepare_observe(n_new)
-        n_chunks = len(raw.plan_chunks(n_new))
-        mode = self.resolve(raw, n_chunks)
-        if mode == "serial" or self.workers < 1 or n_chunks < 1:
+        sizes = raw.plan_chunks(n_new)
+        if self.resolve(raw, len(sizes)) == "serial" or self.workers < 1:
             raw.observe(n_new)
-            return "serial", n_chunks
-        sharded = parallel_observe(
-            raw, n_new, executor=self._threads(), force=self.mode != "auto"
-        )
-        return ("thread" if sharded else "serial"), n_chunks
+            return "serial", len(sizes)
+        # Sampling consumes the operator's stream serially in plan order —
+        # identical to the serial path's (rng for "mc", the quasi stream's
+        # running Halton index for "qmc").
+        traced = obs_trace.tracing_enabled()
+        clock = time.perf_counter
+        t0 = clock() if traced else 0.0
+        weight_chunks = [raw.sample_weights(batch) for batch in sizes]
+        if traced:
+            obs_trace.record("observe.sample", clock() - t0,
+                             count=len(sizes), n=n_new)
+        pool = self._threads()
+        t1 = clock() if traced else 0.0
+        futures = [pool.submit(raw.reduce_for_weights, w) for w in weight_chunks]
+        if traced:
+            obs_trace.record("observe.submit", clock() - t1, count=len(futures))
+        t2 = clock() if traced else 0.0
+        for future in futures:  # plan order — NOT completion order
+            keys, freqs, n_rows = future.result()
+            raw.tally.observe_packed(keys, freqs, n_rows)
+        if traced:
+            # Wait-and-fold: worker reductions overlap this loop, so it
+            # covers the whole reduce+fold tail of the pass.
+            obs_trace.record("observe.fold", clock() - t2, count=len(futures))
+        return "thread", len(sizes)
 
     # -- lifecycle ------------------------------------------------------
     def close(self) -> None:

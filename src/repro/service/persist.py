@@ -558,8 +558,8 @@ def load_session(
     around.  ``config`` (plus any field keywords, as for the session
     itself) supplies the runtime fields; the durable ones —
     everything the answers depend on — come from the file.  A pool
-    sampled under one kernel backend restores and continues
-    identically under another — backends agree byte-for-byte.
+    grown on one executor restores and continues identically on
+    another — executors agree byte-for-byte.
     """
     config = SessionConfig.of(config, **fields)
     with obs_trace.span("snapshot.restore", path=str(path)):

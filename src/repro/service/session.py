@@ -54,6 +54,7 @@ from repro.core.region import FullSpace, RegionOfInterest
 from repro.core.stability import StabilityResult
 from repro.engine.backends import DEFAULT_BUDGET, resolve_backend
 from repro.engine.engine import StabilityEngine
+from repro.engine.kernels import KernelBackend
 from repro.errors import ExhaustedError
 from repro.obs import log_event
 from repro.obs import tracing as obs_trace
@@ -109,7 +110,7 @@ class StabilitySession:
     config:
         The session's dials (:class:`~repro.service.config.SessionConfig`:
         seed, confidence, budget, sampling, executor, max_workers,
-        kernel, cache_size).  Any field may also be passed
+        cache_size).  Any field may also be passed
         as a keyword — ``StabilitySession(ds, seed=7, executor="serial")``
         — and overrides ``config``'s value.  A ``seed`` of ``None``
         draws fresh entropy, which :attr:`config` then records.
@@ -318,9 +319,9 @@ class StabilitySession:
         the session that never restarted — including future ``observe``
         passes, which resume the saved rng streams mid-sequence.  The
         durable fields of ``config`` come from the snapshot; its runtime
-        fields (executor, workers, kernel, cache size) are the caller's
-        to choose afresh — a pool sampled under one kernel backend
-        restores and continues identically under another.
+        fields (executor, workers, cache size) are the caller's to
+        choose afresh — a pool grown on one executor restores and
+        continues identically on another.
         """
         from repro.service.persist import load_session
 
@@ -365,8 +366,6 @@ class StabilitySession:
             if resolved == "randomized":
                 if kind != "full":
                     options["skyband"] = self.skyband_index
-                if self.config.kernel is not None:
-                    options["kernel_backend"] = self.config.kernel
                 if self.config.sampling != "mc":
                     options["sampling"] = self.config.sampling
             engine = StabilityEngine(
@@ -841,7 +840,7 @@ class StabilitySession:
             "cost": cost,
             "executor": self._observer.mode,
             "executor_workers": self._observer.workers,
-            "kernel": self.config.kernel or "auto",
+            "kernel": KernelBackend.name,
             "sampling": self.config.sampling,
             "pool_bytes": self.pool_bytes(),
             "cache_bytes": self.cache.approx_bytes(),
@@ -897,11 +896,10 @@ class StabilitySession:
         if state is not None:
             raw = state.engine.backend.raw
             pool = raw.total_samples
-            plan["kernel"] = raw.kernel_backend.name
         else:
             raw = None
             pool = 0
-            plan["kernel"] = self.config.kernel or "auto"
+        plan["kernel"] = KernelBackend.name
         plan["pool_samples"] = pool
         target = self.pool_target(
             request.op,

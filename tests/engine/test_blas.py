@@ -17,8 +17,7 @@ SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 #: Thread counts of every loaded OpenBLAS, then the tally of a tied
 #: integer case (n=300, d=2) whose scores a two-thread OpenBLAS GEMM
-#: rounds differently in the last bits, changing the tally.  The numpy
-#: kernel keeps numba's own worker threads out of the picture.
+#: rounds differently in the last bits, changing the tally.
 PROBE = """
 import ctypes, hashlib, json
 import numpy as np
@@ -26,8 +25,7 @@ from repro import Dataset
 from repro.core.randomized import GetNextRandomized
 
 values = np.random.default_rng(72).integers(0, 4, size=(300, 2)).astype(float)
-op = GetNextRandomized(Dataset(values), rng=np.random.default_rng(72),
-                       kernel_backend="numpy")
+op = GetNextRandomized(Dataset(values), rng=np.random.default_rng(72))
 op.observe(2_000)
 state = op.tally.export_state()
 threads = []
@@ -44,8 +42,7 @@ print(json.dumps({
 }))
 """
 
-#: CPU and wall time of two serial cold top-k observes at n=10K, on the
-#: numpy kernel (the numba one runs its own parallel threads).
+#: CPU and wall time of two serial cold top-k observes at n=10K.
 CPU_PROBE = """
 import json, time
 import numpy as np
@@ -56,7 +53,7 @@ values = np.random.default_rng(0).uniform(size=(10_000, 4))
 cpu = wall = 0.0
 for seed in (0, 1):
     op = GetNextRandomized(Dataset(values), kind="topk_ranked", k=10,
-                           rng=np.random.default_rng(seed), kernel_backend="numpy")
+                           rng=np.random.default_rng(seed))
     c0, w0 = time.process_time(), time.perf_counter()
     op.observe(10_000)
     cpu += time.process_time() - c0

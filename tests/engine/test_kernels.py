@@ -1,6 +1,10 @@
-"""The pluggable kernel-backend registry and its byte-identity contract."""
+"""The one chunk reduction and its byte-identity contract."""
 
-import importlib.util
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,83 +13,11 @@ from repro import Dataset
 from repro.core.randomized import GetNextRandomized
 from repro.engine import kernel, kernels
 
-HAVE_NUMBA = importlib.util.find_spec("numba") is not None
-
-KINDS = [("full", None), ("topk_ranked", 3), ("topk_set", 3), ("topk_ranked", 1)]
+SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 
 def _dataset(rng, n=30, d=3):
     return Dataset(rng.uniform(0.05, 1.0, size=(n, d)))
-
-
-def _tally_fingerprint(op):
-    tally = op._tally
-    state = dict(tally.export_state())
-    counts = state.pop("counts")
-    return (
-        state,
-        counts.tobytes(),
-        list(tally.counts),
-        op.rng.bit_generator.state,
-    )
-
-
-class TestRegistry:
-    def test_numpy_always_available(self):
-        table = kernels.available_kernels()
-        assert table["numpy"] is True
-        assert "numba" in table
-
-    def test_get_kernel_unknown_name(self):
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            kernels.get_kernel("cuda")
-
-    def test_get_kernel_returns_shared_instance(self):
-        assert kernels.get_kernel("numpy") is kernels.get_kernel("numpy")
-
-    def test_get_kernel_unavailable_is_strict(self):
-        if HAVE_NUMBA:
-            pytest.skip("numba importable here: nothing is unavailable")
-        with pytest.raises(ValueError, match="not available"):
-            kernels.get_kernel("numba")
-
-
-class TestResolvePrecedence:
-    def test_auto_without_env(self, monkeypatch):
-        monkeypatch.delenv(kernels.KERNEL_ENV_VAR, raising=False)
-        backend = kernels.resolve_kernel(None)
-        assert backend.name == ("numba" if HAVE_NUMBA else "numpy")
-
-    def test_auto_name_matches_default(self, monkeypatch):
-        monkeypatch.delenv(kernels.KERNEL_ENV_VAR, raising=False)
-        assert kernels.resolve_kernel("auto") is kernels.resolve_kernel(None)
-
-    def test_env_beats_auto(self, monkeypatch):
-        monkeypatch.setenv(kernels.KERNEL_ENV_VAR, "numpy")
-        assert kernels.resolve_kernel(None).name == "numpy"
-
-    def test_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv(kernels.KERNEL_ENV_VAR, "nonsense")
-        assert kernels.resolve_kernel("numpy").name == "numpy"
-
-    def test_empty_env_is_auto(self, monkeypatch):
-        monkeypatch.setenv(kernels.KERNEL_ENV_VAR, "")
-        assert kernels.resolve_kernel(None) is kernels.resolve_kernel("auto")
-
-    def test_instance_passthrough(self):
-        backend = kernels.get_kernel("numpy")
-        assert kernels.resolve_kernel(backend) is backend
-
-    def test_unknown_name_errors(self):
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            kernels.resolve_kernel("cuda")
-
-    def test_named_unavailable_degrades_with_warning(self):
-        if HAVE_NUMBA:
-            pytest.skip("numba importable here: nothing degrades")
-        with pytest.warns(RuntimeWarning, match="falling back to 'numpy'"):
-            backend = kernels.resolve_kernel("numba")
-        assert backend.name == "numpy"
 
 
 class TestNumpyBackend:
@@ -93,7 +25,7 @@ class TestNumpyBackend:
         values = rng.uniform(size=(25, 3))
         weights = rng.uniform(0.01, 1.0, size=(40, 3))
         dtype = kernel.key_dtype_for(25)
-        backend = kernels.get_kernel("numpy")
+        backend = kernels.KernelBackend()
         uniques, freqs, n_rows = backend.reduce_chunk(
             values, weights, kind="topk_set", k=4, key_dtype=dtype
         )
@@ -111,7 +43,7 @@ class TestNumpyBackend:
         values = rng.uniform(size=(25, 3))
         weights = rng.uniform(0.01, 1.0, size=(16, 3))
         dtype = kernel.key_dtype_for(25)
-        backend = kernels.get_kernel("numpy")
+        backend = kernels.KernelBackend()
         plain = backend.reduce_chunk(
             values, weights, kind="topk_ranked", k=3, key_dtype=dtype
         )
@@ -128,7 +60,7 @@ class TestNumpyBackend:
         weights = rng.uniform(0.01, 1.0, size=(10, 3))
         candidates = np.array([3, 11, 27, 40, 41, 55, 56, 90])
         dtype = kernel.key_dtype_for(91)
-        backend = kernels.get_kernel("numpy")
+        backend = kernels.KernelBackend()
         uniques, _, _ = backend.reduce_chunk(
             values, weights, kind="topk_set", k=2, key_dtype=dtype,
             candidates=candidates,
@@ -138,103 +70,15 @@ class TestNumpyBackend:
             assert set(ids) <= set(candidates.tolist())
 
 
-class TestNumbaFallbackPaths:
-    """The parts of NumbaKernel that run without numba installed."""
-
-    def test_full_kind_uses_reference(self, rng):
-        backend = kernels.NumbaKernel()
-        scores = rng.uniform(-1, 1, size=(6, 9))
-        assert np.array_equal(
-            backend.rank_rows(scores, kind="full", k=None),
-            kernel.full_ranking_rows(scores),
-        )
-
-    def test_chunk_scale_is_larger(self):
-        assert kernels.NumbaKernel.chunk_scale > kernels.KernelBackend.chunk_scale
-
-
-@pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
-class TestNumbaParity:
-    """The jitted selection must match the reference bit for bit."""
-
-    @pytest.mark.parametrize("kind,k", KINDS)
-    def test_rank_rows_matches_reference(self, rng, kind, k):
-        numba_backend = kernels.get_kernel("numba")
-        numpy_backend = kernels.get_kernel("numpy")
-        scores = rng.uniform(-1, 1, size=(64, 23))
-        assert np.array_equal(
-            numba_backend.rank_rows(scores, kind=kind, k=k),
-            numpy_backend.rank_rows(scores, kind=kind, k=k),
-        )
-
-    def test_exact_ties_break_by_ascending_id(self):
-        backend = kernels.get_kernel("numba")
-        scores = np.array([[0.5, 0.7, 0.5, 0.7, 0.1]])
-        assert backend.rank_rows(scores, kind="topk_ranked", k=3).tolist() == [
-            [1, 3, 0]
-        ]
-        assert backend.rank_rows(scores, kind="topk_set", k=4).tolist() == [
-            [0, 1, 2, 3]
-        ]
-
-    def test_all_equal_scores(self):
-        backend = kernels.get_kernel("numba")
-        scores = np.zeros((3, 7))
-        assert backend.rank_rows(scores, kind="topk_ranked", k=4).tolist() == [
-            [0, 1, 2, 3]
-        ] * 3
-
-    def test_k_bounds(self, rng):
-        backend = kernels.get_kernel("numba")
-        scores = rng.uniform(size=(2, 5))
-        with pytest.raises(ValueError):
-            backend.rank_rows(scores, kind="topk_set", k=0)
-        with pytest.raises(ValueError):
-            backend.rank_rows(scores, kind="topk_set", k=6)
-
-    @pytest.mark.parametrize("kind,k", [("topk_ranked", 3), ("topk_set", 4)])
-    @pytest.mark.parametrize("budget", [100, 1000])
-    def test_operator_tallies_byte_identical(self, rng_factory, kind, k, budget):
-        ops = []
-        for name in ("numpy", "numba"):
-            op = GetNextRandomized(
-                _dataset(rng_factory(3)),
-                kind=kind,
-                k=k,
-                rng=rng_factory(99),
-                kernel_backend=name,
-            )
-            op.observe(budget)
-            ops.append(op)
-        assert _tally_fingerprint(ops[0]) == _tally_fingerprint(ops[1])
-
-
 class TestOperatorKernelWiring:
-    def test_default_backend_resolves(self, rng_factory, monkeypatch):
-        monkeypatch.delenv(kernels.KERNEL_ENV_VAR, raising=False)
-        op = GetNextRandomized(_dataset(rng_factory(0)), rng=rng_factory(1))
-        assert op.kernel_backend is kernels.resolve_kernel(None)
-
-    def test_env_selects_operator_backend(self, rng_factory, monkeypatch):
-        monkeypatch.setenv(kernels.KERNEL_ENV_VAR, "numpy")
-        op = GetNextRandomized(_dataset(rng_factory(0)), rng=rng_factory(1))
-        assert op.kernel_backend.name == "numpy"
-
-    def test_explicit_backend_matches_default_tallies(self, rng_factory):
-        """The kernel dial is a pure speed knob: same bytes out."""
-        reference = GetNextRandomized(
-            _dataset(rng_factory(5)), kind="topk_set", k=4, rng=rng_factory(7)
-        )
-        explicit = GetNextRandomized(
-            _dataset(rng_factory(5)),
-            kind="topk_set",
-            k=4,
-            rng=rng_factory(7),
-            kernel_backend="numpy",
-        )
-        reference.observe(600)
-        explicit.observe(600)
-        assert _tally_fingerprint(reference) == _tally_fingerprint(explicit)
+    def test_every_operator_shares_the_numpy_reduction(self, rng_factory):
+        ops = [
+            GetNextRandomized(_dataset(rng_factory(seed)), rng=rng_factory(1))
+            for seed in (0, 1)
+        ]
+        assert ops[0].kernel_backend is ops[1].kernel_backend
+        assert isinstance(ops[0].kernel_backend, kernels.KernelBackend)
+        assert ops[0].kernel_backend.name == "numpy"
 
     def test_chunk_plan_invariance_with_shared_buffer(self, rng_factory):
         """Many tiny chunks through one reused ``out=`` buffer must count
@@ -273,35 +117,57 @@ class TestOperatorKernelWiring:
         assert tiny.rng.bit_generator.state == big.rng.bit_generator.state
 
 
-class TestBackendAwareChunking:
-    def test_scale_grows_chunk_and_cap(self, monkeypatch):
-        monkeypatch.delenv(kernel.CHUNK_ENV_VAR, raising=False)
-        base = kernel.auto_chunk_size(5_000)
-        scaled = kernel.auto_chunk_size(5_000, scale=4.0)
-        assert scaled >= base
-        # The ceiling scales too: tiny datasets may use bigger blocks.
-        assert kernel.auto_chunk_size(1, scale=4.0) >= kernel.auto_chunk_size(1)
-
-    def test_scale_must_be_positive(self):
-        with pytest.raises(ValueError):
-            kernel.auto_chunk_size(100, scale=0.0)
-
-    def test_env_pin_overrides_scale(self, monkeypatch):
-        monkeypatch.setenv(kernel.CHUNK_ENV_VAR, "123")
-        assert kernel.auto_chunk_size(100, scale=4.0) == 123
-        assert kernel.auto_chunk_size(1_000_000, scale=0.25) == 123
-
-    def test_operator_chunk_uses_backend_scale(self, rng_factory, monkeypatch):
-        monkeypatch.delenv(kernel.CHUNK_ENV_VAR, raising=False)
+class TestChunking:
+    def test_operator_chunk_is_auto_chunk_size(self, rng_factory):
         op = GetNextRandomized(
-            _dataset(rng_factory(0), n=5_000),
-            rng=rng_factory(1),
-            kernel_backend="numpy",
+            _dataset(rng_factory(0), n=5_000), rng=rng_factory(1)
         )
-        expected = kernel.auto_chunk_size(
-            5_000, scale=op.kernel_backend.chunk_scale
-        )
-        assert op.scoring_chunk == expected
+        assert op.scoring_chunk == kernel.auto_chunk_size(5_000)
+
+    @pytest.mark.parametrize(
+        "n_items,chunk", [(1, 8192), (2_000, 1_048), (10_000, 209), (10**7, 16)]
+    )
+    def test_auto_chunk_size_bounds_the_score_block(self, n_items, chunk):
+        assert kernel.auto_chunk_size(n_items) == chunk
+
+    def test_retired_environment_variables_change_no_tally(self):
+        """``REPRO_KERNEL`` and ``REPRO_SCORING_CHUNK`` once chose the
+        reduction and pinned the chunk plan; nothing reads them now, so
+        a top-k pool tallies the same bytes (keys, counts, first-seen
+        order) in a fresh interpreter with or without them set."""
+        probe = """
+import hashlib, json
+import numpy as np
+from repro import Dataset
+from repro.core.randomized import GetNextRandomized
+
+values = np.random.default_rng(3).uniform(size=(3_000, 4))
+op = GetNextRandomized(Dataset(values), kind="topk_ranked", k=5,
+                       rng=np.random.default_rng(4))
+op.observe(2_000)
+state = op.tally.export_state()
+print(json.dumps({
+    "chunk": op.scoring_chunk,
+    "tally": hashlib.sha256(
+        state["keys"] + state["counts"].tobytes()
+        + b"".join(op.tally.counts)
+    ).hexdigest(),
+}))
+"""
+        base = {
+            key: value for key, value in os.environ.items()
+            if key not in ("REPRO_KERNEL", "REPRO_SCORING_CHUNK")
+        }
+        results = []
+        for extra in ({}, {"REPRO_KERNEL": "numba", "REPRO_SCORING_CHUNK": "37"}):
+            out = subprocess.run(
+                [sys.executable, "-c", probe],
+                env={**base, **extra, "PYTHONPATH": SRC},
+                capture_output=True, text=True, timeout=120, check=True,
+            ).stdout
+            results.append(json.loads(out.splitlines()[-1]))
+        assert results[0]["chunk"] == kernel.auto_chunk_size(3_000)
+        assert results[1] == results[0]
 
 
 class TestPackBoundaries:

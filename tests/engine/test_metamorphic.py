@@ -4,9 +4,7 @@ Exact stabilities are unknown at these sizes, so the oracle is a set of
 relations between two runs: a transformation of the input, or of a
 speed-only dial, whose effect on the count table is known.  Count
 tables (``op.counts``) are compared, not first-seen order, which
-legitimately depends on the chunk plan.  Operators use the auto-selected
-kernel backend, so the jitted backend is covered wherever numba is
-installed.
+legitimately depends on the chunk plan.
 
 Data comes from a drawn seed (uniform in ``[0.05, 1)``), never from raw
 drawn floats: exact score ties would make the id tie-break, and so the

@@ -98,7 +98,7 @@ class TestStatsSurface:
                 stats = client.stats()
         entry = stats["server"]["registry"]["active"]["default"]
         assert entry["executor"] == "serial"
-        assert entry["kernel"] in ("auto", "numpy", "numba")
+        assert entry["kernel"] == "numpy"
         assert entry["cache_hit_rate"] == 0.5
         assert entry["pool_samples"] == QUERY["budget"]
         assert entry["pool_bytes"] > 0

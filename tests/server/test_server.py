@@ -13,6 +13,7 @@ acceptance properties of the subsystem live here:
 
 from __future__ import annotations
 
+import asyncio
 import json
 import threading
 import time
@@ -309,6 +310,50 @@ class TestDrainAndRestart:
             finally:
                 idle.close()
         assert not handle.thread.is_alive()
+
+    def test_drain_answers_a_request_parked_behind_backpressure(
+        self, dataset
+    ):
+        """A request the read loop has read but parked behind
+        ``max_pending_per_connection`` is not counted in ``_inflight``.
+        When the request ahead of it finishes, ``_inflight`` reads 0
+        before the parked handler wakes; a drain that cancelled every
+        handler then would leave the parked request unanswered.  The
+        first request here finishes by holding the event loop past the
+        drain's next poll, so the drain looks in exactly that gap."""
+        with running_server(
+            dataset, max_pending_per_connection=1, drain_grace=10.0
+        ) as handle:
+            server = handle.server
+            process = server._process
+            first, parked = {"op": "stats"}, {"op": "ping", "id": "parked"}
+            sent = sum(len(json.dumps(p)) + 1 for p in (first, parked))
+
+            async def finish_in_the_gap(payload, deadline=None, earlier=()):
+                response = await process(payload, deadline, earlier)
+                # Every byte counted means the ping was read and parked:
+                # the handler parks in the same step that reads it.
+                while server.metrics.bytes_in < sent:
+                    await asyncio.sleep(0.001)
+                server.request_shutdown()
+                while not server._draining:
+                    await asyncio.sleep(0.001)
+                time.sleep(0.1)  # the drain's 20 ms poll is now due...
+                await asyncio.sleep(0)  # ...and runs right after we finish
+                return response
+
+            server._process = finish_in_the_gap
+            client = ServeClient(host=handle.host, port=handle.port)
+            try:
+                client.send(first)
+                client.send(parked)
+                assert client.recv()["ok"] is True
+                refusal = client.recv()
+            finally:
+                client.close()
+            handle.thread.join(timeout=30)
+        assert refusal["id"] == "parked"
+        assert refusal["error"]["code"] == "shutting_down"
 
     def test_sigterm_during_load_checkpoints_every_dirty_session(
         self, tmp_path

@@ -22,7 +22,6 @@ BAD_DIALS = [
      ["--executor", "thread", "--workers", "0"]),
     ({"max_workers": -4}, ["--workers", "-4"]),
     ({"executor": "process"}, ["--executor", "process"]),
-    ({"kernel": "nonsense"}, ["--kernel", "nonsense"]),
     ({"executor": "sometimes"}, ["--executor", "sometimes"]),
     ({"sampling": "psychic"}, ["--sampling", "psychic"]),
     ({"budget": 0}, ["--budget", "0"]),
@@ -72,10 +71,38 @@ def test_bad_dial_rejected_before_serving(
     assert "usage:" in captured.err
 
 
-def test_registered_kernel_without_its_package_is_accepted():
-    """numba is registered, so naming it is valid even where it is not
-    installed — the session falls back to numpy with a warning."""
-    assert SessionConfig(kernel="numba").kernel == "numba"
+def test_removed_kernel_dial_is_a_type_error(dataset):
+    """There is one chunk reduction, so there is no kernel to choose:
+    naming one fails loudly instead of being ignored."""
+    with pytest.raises(TypeError):
+        SessionConfig(kernel="numpy")
+    with pytest.raises(TypeError):
+        SessionConfig.of(SessionConfig(), kernel="numpy")
+    with pytest.raises(TypeError):
+        StabilitySession(dataset, kernel="numpy")
+    with pytest.raises(TypeError):
+        SessionRegistry(kernel="numpy")
+
+
+@pytest.mark.parametrize("command", ["batch", "serve", "snapshot", "restore"])
+def test_removed_kernel_flag_is_a_usage_error(
+    command, batch_files, tmp_path, capsys
+):
+    csv_path, requests = batch_files
+    required = {
+        "batch": ["--requests", requests],
+        "serve": [],
+        "snapshot": ["--out", str(tmp_path / "s.snap")],
+        "restore": ["--snapshot", str(tmp_path / "s.snap")],
+    }[command]
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, csv_path, *required, "--kernel", "numpy"])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage:" in captured.err
+    assert "--kernel" in captured.err
+    assert not (tmp_path / "s.snap").exists()
 
 
 def test_keywords_override_config():
@@ -126,11 +153,11 @@ def _answers(session):
 def test_restore_takes_durable_fields_from_snapshot(dataset, tmp_path):
     a = SessionConfig(
         seed=11, confidence=0.9, budget=700, sampling="qmc",
-        executor="serial", max_workers=1, kernel="numpy", cache_size=64,
+        executor="serial", max_workers=1, cache_size=64,
     )
     b = SessionConfig(
         seed=99, confidence=0.99, budget="ci:0.05", sampling="mc",
-        executor="thread", max_workers=2, kernel="auto", cache_size=16,
+        executor="thread", max_workers=2, cache_size=16,
     )
     assert all(getattr(a, name) != getattr(b, name) for name in DURABLE + RUNTIME)
     path = tmp_path / "a.snap"
@@ -157,10 +184,10 @@ def test_serve_names_the_durable_flags_a_restore_ignored(
     state_dir = str(tmp_path / "states")
     request = json.dumps({"op": "top_stable", "m": 1, "kind": "topk_set",
                           "k": 3, "backend": "randomized", "budget": 200})
-    for extra in ([], ["--seed", "5", "--sampling", "qmc", "--kernel", "numpy"]):
+    for extra in ([], ["--seed", "5", "--sampling", "qmc", "--workers", "1"]):
         monkeypatch.setattr("sys.stdin", io.StringIO(request + "\n"))
         assert main(["serve", csv_path, "--state-dir", state_dir,
                      "--executor", "serial", *extra]) == 0
     err = capsys.readouterr().err
     assert "--seed/--sampling ignored" in err
-    assert "--kernel" not in err  # runtime flags apply to restores too
+    assert "--workers" not in err  # runtime flags apply to restores too

@@ -1,28 +1,23 @@
 """Parallel-vs-serial observe equality, property-tested.
 
 The service's shard-parallel observe must be an *optimisation*, not an
-approximation: given the same seed, the tally after a parallel pass is
-byte-identical to the serial tally — counts, totals, first-seen
-tie-break order, and the rng stream — across ranking kinds, sampling
-schemes, chunk sizes (including the ``REPRO_SCORING_CHUNK`` environment
-override), split passes, and the session's :class:`ObserveExecutor`.
+approximation: given the same seed, the tally after a thread pass of
+:class:`ObserveExecutor` is byte-identical to the serial tally —
+counts, totals, first-seen tie-break order, and the rng stream — across
+ranking kinds, sampling schemes, chunk sizes, split passes, and
+sessions.
 """
 
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from repro import Dataset, StabilitySession, parallel_observe
+from repro import Dataset, StabilitySession
 from repro.core.randomized import GetNextRandomized
 from repro.engine import kernel
-from repro.service.parallel import (
-    ObserveExecutor,
-    default_workers,
-    resolve_executor_mode,
-    should_parallelize,
-)
+from repro.service.parallel import ObserveExecutor, default_workers
 
 
 def _pair(seed, n=300, d=3, *, kind="full", k=None, scoring_chunk=None, **kw):
@@ -45,6 +40,11 @@ def _assert_identical(serial, sharded):
     assert sharded.rng.bit_generator.state == serial.rng.bit_generator.state
 
 
+def _sized(n_items):
+    """Just enough of an operator for :meth:`ObserveExecutor.resolve`."""
+    return SimpleNamespace(dataset=SimpleNamespace(n_items=n_items))
+
+
 class TestParallelObserveEquality:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     @pytest.mark.parametrize(
@@ -53,34 +53,27 @@ class TestParallelObserveEquality:
     def test_property_identical_tallies(self, seed, kind, k):
         serial, sharded = _pair(seed, kind=kind, k=k, scoring_chunk=64)
         serial.observe(500)
-        with ThreadPoolExecutor(max_workers=3) as pool:
-            chunks = parallel_observe(sharded, 500, executor=pool, force=True)
-        assert chunks > 0
+        with ObserveExecutor("thread", max_workers=3) as executor:
+            assert executor.observe(sharded, 500) == "thread"
+            assert executor.last_pass["chunks"] > 0
         _assert_identical(serial, sharded)
 
     def test_split_passes_match_one_pass(self):
         serial, sharded = _pair(5, scoring_chunk=50)
         serial.observe(400)
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            parallel_observe(sharded, 150, executor=pool, force=True)
-            parallel_observe(sharded, 250, executor=pool, force=True)
+        with ObserveExecutor("thread", max_workers=2) as executor:
+            executor.observe(sharded, 150)
+            executor.observe(sharded, 250)
         _assert_identical(serial, sharded)
 
-    def test_chunk_env_override_pins_decomposition(self, monkeypatch):
-        monkeypatch.setenv(kernel.CHUNK_ENV_VAR, "37")
-        assert kernel.auto_chunk_size(10) == 37
-        assert kernel.auto_chunk_size(10_000_000) == 37
-        serial, sharded = _pair(6)  # scoring_chunk=None -> env-pinned 37
+    def test_explicit_chunk_pins_decomposition(self):
+        serial, sharded = _pair(6, scoring_chunk=37)
         assert serial.scoring_chunk == 37
         serial.observe(300)
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            parallel_observe(sharded, 300, executor=pool, force=True)
+        with ObserveExecutor("thread", max_workers=2) as executor:
+            executor.observe(sharded, 300)
+            assert executor.last_pass["chunks"] == len(serial.plan_chunks(300))
         _assert_identical(serial, sharded)
-
-    def test_chunk_env_override_rejects_garbage(self, monkeypatch):
-        monkeypatch.setenv(kernel.CHUNK_ENV_VAR, "0")
-        with pytest.raises(ValueError):
-            kernel.auto_chunk_size(100)
 
     def test_auto_chunk_is_deterministic(self):
         assert kernel.auto_chunk_size(10_000) == kernel.auto_chunk_size(10_000)
@@ -99,8 +92,8 @@ class TestParallelObserveEquality:
         )
         serial, sharded = make(), make()
         serial.observe(300)
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            parallel_observe(sharded, 300, executor=pool, force=True)
+        with ObserveExecutor("thread", max_workers=2) as executor:
+            executor.observe(sharded, 300)
         assert (sharded._candidates is None) == (serial._candidates is None)
         _assert_identical(serial, sharded)
 
@@ -108,10 +101,10 @@ class TestParallelObserveEquality:
         serial, sharded = _pair(10, kind="topk_set", k=3, scoring_chunk=64)
         a = serial.get_next(budget=400)
         serial.observe(200)
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            parallel_observe(sharded, 400, executor=pool, force=True)
+        with ObserveExecutor("thread", max_workers=2) as executor:
+            executor.observe(sharded, 400)
             b = sharded.next_from_pool()
-            parallel_observe(sharded, 200, executor=pool, force=True)
+            executor.observe(sharded, 200)
         assert a.top_k_set == b.top_k_set
         assert a.stability == b.stability
         _assert_identical(serial, sharded)
@@ -121,50 +114,55 @@ class TestFallbacks:
     def test_serial_fallback_below_threshold(self):
         serial, auto = _pair(20, n=100)
         serial.observe(200)
-        # n=100 is far below PARALLEL_MIN_ITEMS: auto path must fall
-        # back to serial observe (returns 0 chunks) and still match.
-        assert parallel_observe(auto, 200, max_workers=8) == 0
+        # n=100 is far below PARALLEL_MIN_ITEMS: auto must fall back to
+        # the serial observe and still match.
+        with ObserveExecutor("auto", max_workers=8) as executor:
+            assert executor.observe(auto, 200) == "serial"
         _assert_identical(serial, auto)
 
     def test_single_worker_falls_back(self):
         serial, auto = _pair(21, n=5000)
         serial.observe(64)
-        assert parallel_observe(auto, 64, max_workers=1) == 0
+        with ObserveExecutor("auto", max_workers=1) as executor:
+            assert executor.observe(auto, 64) == "serial"
         _assert_identical(serial, auto)
 
     def test_zero_samples_noop(self):
         op, _ = _pair(22)
-        assert parallel_observe(op, 0) == 0
+        with ObserveExecutor("auto") as executor:
+            assert executor.observe(op, 0) == "serial"
         assert op.total_samples == 0
 
     def test_rejects_non_randomized(self, paper_dataset):
         from repro import StabilityEngine
 
         engine = StabilityEngine(paper_dataset)  # twod_exact
-        with pytest.raises(TypeError):
-            parallel_observe(engine.backend, 100)
+        with ObserveExecutor("thread", max_workers=2) as executor:
+            with pytest.raises(TypeError):
+                executor.observe(engine.backend, 100)
 
     def test_should_parallelize_thresholds(self):
-        assert should_parallelize(10_000, 8, 4)
-        assert not should_parallelize(10_000, 1, 4)  # one chunk
-        assert not should_parallelize(100, 8, 4)  # tiny dataset
-        assert not should_parallelize(10_000, 8, 1)  # one worker
+        executor = ObserveExecutor("auto", max_workers=4)
+        assert executor.resolve(_sized(10_000), 8) == "thread"
+        assert executor.resolve(_sized(10_000), 1) == "serial"  # one chunk
+        assert executor.resolve(_sized(100), 8) == "serial"  # tiny dataset
+        one_worker = ObserveExecutor("auto", max_workers=1)
+        assert one_worker.resolve(_sized(10_000), 8) == "serial"
 
     def test_injected_executor_short_circuits_tiny_passes(self):
-        # A caller-owned pool no longer forces sharding: below the
-        # item threshold the pass runs serially (0 chunks) — the warm
-        # session pool must not pay chunk handoff for tiny top-ups.
+        # Auto mode with a warm pool still runs tiny passes serially:
+        # below the item threshold a top-up must not pay chunk handoff.
         serial, sharded = _pair(30, n=300, scoring_chunk=64)
         serial.observe(300)
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            assert parallel_observe(sharded, 300, executor=pool) == 0
+        with ObserveExecutor("auto", max_workers=2) as executor:
+            assert executor.observe(sharded, 300) == "serial"
         _assert_identical(serial, sharded)
 
     def test_force_overrides_short_circuit(self):
         serial, sharded = _pair(31, n=300, scoring_chunk=64)
         serial.observe(300)
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            assert parallel_observe(sharded, 300, executor=pool, force=True) > 0
+        with ObserveExecutor("thread", max_workers=2) as executor:
+            assert executor.observe(sharded, 300) == "thread"
         _assert_identical(serial, sharded)
 
 
@@ -181,13 +179,21 @@ class TestDefaultWorkers:
 
 class TestResolveExecutorMode:
     def test_small_work_serial(self):
-        assert resolve_executor_mode(100, 8, 4) == "serial"
-        assert resolve_executor_mode(100_000, 1, 4) == "serial"
-        assert resolve_executor_mode(100_000, 8, 1) == "serial"
+        four = ObserveExecutor("auto", max_workers=4)
+        assert four.resolve(_sized(100), 8) == "serial"
+        assert four.resolve(_sized(100_000), 1) == "serial"
+        one = ObserveExecutor("auto", max_workers=1)
+        assert one.resolve(_sized(100_000), 8) == "serial"
 
     def test_mid_size_threads(self):
-        assert resolve_executor_mode(10_000, 8, 4) == "thread"
-        assert resolve_executor_mode(100_000, 8, 4) == "thread"
+        four = ObserveExecutor("auto", max_workers=4)
+        assert four.resolve(_sized(10_000), 8) == "thread"
+        assert four.resolve(_sized(100_000), 8) == "thread"
+        assert four.resolve(_sized(2_048), 2) == "thread"  # both floors
+
+    def test_explicit_modes_ignore_the_work_size(self):
+        for mode in ("serial", "thread"):
+            assert ObserveExecutor(mode).resolve(_sized(1), 1) == mode
 
 
 class TestObserveExecutor:
@@ -304,8 +310,8 @@ class TestQuasiSamplingParity:
             11, n=1_500, kind=kind, k=k, scoring_chunk=64, sampling="qmc"
         )
         serial.observe(500)
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            assert parallel_observe(threaded, 500, executor=pool, force=True) > 0
+        with ObserveExecutor("thread", max_workers=2) as executor:
+            assert executor.observe(threaded, 500) == "thread"
         _assert_identical(serial, threaded)
         assert serial._qmc.index == threaded._qmc.index
 
