@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -11,13 +12,26 @@ import pytest
 
 from repro import Dataset
 from repro.core.randomized import GetNextRandomized
+from repro.core.ranking import _top_k_order
 from repro.engine import kernel, kernels
+from repro.engine.backends import RandomizedBackend
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")
+
+KINDS = [("full", None), ("topk_ranked", 3), ("topk_set", 3), ("topk_ranked", 1)]
 
 
 def _dataset(rng, n=30, d=3):
     return Dataset(rng.uniform(0.05, 1.0, size=(n, d)))
+
+
+def _reference_row(scores, kind, k):
+    """The scalar ranking of one score row: descending score, exact ties
+    by ascending id; a top-k set in ascending-id canonical form."""
+    if kind == "full":
+        return np.argsort(-scores, kind="stable").tolist()
+    order = _top_k_order(scores, k)
+    return order if kind == "topk_ranked" else sorted(order)
 
 
 class TestNumpyBackend:
@@ -68,6 +82,85 @@ class TestNumpyBackend:
         for key in uniques:
             ids = kernel.unpack_key(key.tobytes(), dtype)
             assert set(ids) <= set(candidates.tolist())
+
+
+class TestRankRows:
+    """``KernelBackend.rank_rows`` row by row against the scalar ranking."""
+
+    @pytest.mark.parametrize("kind,k", KINDS)
+    def test_matches_scalar_reference(self, rng, kind, k):
+        # One decimal: most rows hold exact ties, inside the top k and
+        # across its boundary.
+        scores = np.round(rng.uniform(-1, 1, size=(64, 23)), 1)
+        rows = kernels.KernelBackend().rank_rows(scores, kind=kind, k=k)
+        assert rows.shape == (64, 23 if kind == "full" else k)
+        for row, score_row in zip(rows.tolist(), scores):
+            assert row == _reference_row(score_row, kind, k)
+
+    def test_exact_ties_break_by_ascending_id(self):
+        backend = kernels.KernelBackend()
+        scores = np.array([[0.5, 0.7, 0.5, 0.7, 0.1]])
+        assert backend.rank_rows(scores, kind="full", k=None).tolist() == [
+            [1, 3, 0, 2, 4]
+        ]
+        assert backend.rank_rows(scores, kind="topk_ranked", k=3).tolist() == [
+            [1, 3, 0]
+        ]
+        assert backend.rank_rows(scores, kind="topk_set", k=4).tolist() == [
+            [0, 1, 2, 3]
+        ]
+
+    def test_all_equal_scores(self):
+        backend = kernels.KernelBackend()
+        scores = np.zeros((3, 7))
+        assert backend.rank_rows(scores, kind="full", k=None).tolist() == [
+            list(range(7))
+        ] * 3
+        for kind in ("topk_ranked", "topk_set"):
+            assert backend.rank_rows(scores, kind=kind, k=4).tolist() == [
+                [0, 1, 2, 3]
+            ] * 3
+
+    def test_k_bounds(self, rng):
+        backend = kernels.KernelBackend()
+        scores = rng.uniform(size=(2, 5))
+        for kind in ("topk_ranked", "topk_set"):
+            for k in (0, 6):
+                with pytest.raises(ValueError):
+                    backend.rank_rows(scores, kind=kind, k=k)
+
+
+class TestOperatorAgainstReference:
+    @pytest.mark.parametrize("sampling", ["mc", "qmc"])
+    @pytest.mark.parametrize(
+        "kind,k", [("full", None), ("topk_ranked", 3), ("topk_set", 4)]
+    )
+    def test_counts_match_scalar_reference(self, rng_factory, kind, k, sampling):
+        """A chunked observe pass (a partial last chunk included) counts
+        exactly the scalar rankings of the functions it samples: a twin
+        operator draws the same stream chunk by chunk, and each row of
+        its score block is ranked on its own."""
+        def make():
+            return GetNextRandomized(
+                _dataset(rng_factory(3)),
+                kind=kind,
+                k=k,
+                rng=rng_factory(99),
+                scoring_chunk=64,
+                sampling=sampling,
+            )
+
+        op, twin = make(), make()
+        op.observe(700)
+        expected = Counter()
+        for batch in twin.plan_chunks(700):
+            weights = twin.sample_weights(batch)
+            for scores in kernel.score_block(twin.dataset.values, weights):
+                ids = _reference_row(scores, kind, k)
+                expected[frozenset(ids) if kind == "topk_set" else tuple(ids)] += 1
+        assert op.total_samples == 700
+        assert op.counts == expected
+        assert op.rng.bit_generator.state == twin.rng.bit_generator.state
 
 
 class TestOperatorKernelWiring:
@@ -129,6 +222,17 @@ class TestChunking:
     )
     def test_auto_chunk_size_bounds_the_score_block(self, n_items, chunk):
         assert kernel.auto_chunk_size(n_items) == chunk
+
+    def test_removed_dials_are_type_errors(self, rng_factory):
+        """The backend scale and the per-operator backend choice are
+        gone: passing either fails loudly instead of being ignored."""
+        dataset = _dataset(rng_factory(0))
+        with pytest.raises(TypeError):
+            kernel.auto_chunk_size(5_000, scale=4.0)
+        with pytest.raises(TypeError):
+            GetNextRandomized(dataset, kernel_backend="numpy")
+        with pytest.raises(TypeError):
+            RandomizedBackend(dataset, kernel_backend="numpy")
 
     def test_retired_environment_variables_change_no_tally(self):
         """``REPRO_KERNEL`` and ``REPRO_SCORING_CHUNK`` once chose the

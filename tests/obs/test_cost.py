@@ -130,6 +130,7 @@ class TestStatsAndExplain:
         assert stats["pool_bytes"] > 0
         assert stats["cache_bytes"] > 0
         (pool,) = stats["configs"].values()
+        assert pool["kernel"] == "numpy"
         assert pool["pool_bytes"] > 0
         assert pool["total_samples"] == BUDGET
 

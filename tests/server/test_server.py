@@ -311,8 +311,12 @@ class TestDrainAndRestart:
                 idle.close()
         assert not handle.thread.is_alive()
 
+    @pytest.mark.parametrize(
+        "deadline,code",
+        [(None, "shutting_down"), (1, "deadline_exceeded")],
+    )
     def test_drain_answers_a_request_parked_behind_backpressure(
-        self, dataset
+        self, dataset, deadline, code
     ):
         """A request the read loop has read but parked behind
         ``max_pending_per_connection`` is not counted in ``_inflight``.
@@ -320,13 +324,17 @@ class TestDrainAndRestart:
         before the parked handler wakes; a drain that cancelled every
         handler then would leave the parked request unanswered.  The
         first request here finishes by holding the event loop past the
-        drain's next poll, so the drain looks in exactly that gap."""
+        drain's next poll, so the drain looks in exactly that gap.  A
+        parked request whose 1 ms deadline ran out meanwhile is refused
+        ``deadline_exceeded``, any other ``shutting_down``."""
         with running_server(
             dataset, max_pending_per_connection=1, drain_grace=10.0
         ) as handle:
             server = handle.server
             process = server._process
             first, parked = {"op": "stats"}, {"op": "ping", "id": "parked"}
+            if deadline is not None:
+                parked["deadline_ms"] = deadline
             sent = sum(len(json.dumps(p)) + 1 for p in (first, parked))
 
             async def finish_in_the_gap(payload, deadline=None, earlier=()):
@@ -353,7 +361,7 @@ class TestDrainAndRestart:
                 client.close()
             handle.thread.join(timeout=30)
         assert refusal["id"] == "parked"
-        assert refusal["error"]["code"] == "shutting_down"
+        assert refusal["error"]["code"] == code
 
     def test_sigterm_during_load_checkpoints_every_dirty_session(
         self, tmp_path
